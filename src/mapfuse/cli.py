@@ -95,6 +95,9 @@ def _cmd_fuse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.weights == "auto":
         est = estimate_weights(maps, seed=args.seed)
+        if not est.converged:
+            print(f"warning: weight fit did not converge in {est.iterations} "
+                  "iterations; using its last kappa", file=sys.stderr)
         save_weights_csv(est, out / "weights.csv", ids=ids)
         weights = est.kappa
         print("inferred weights: "

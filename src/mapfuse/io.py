@@ -33,6 +33,8 @@ def _write_pair(path, header: dict, payload: np.ndarray) -> None:
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"raster path {path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     _header_path(path).write_text(json.dumps(header, indent=None, sort_keys=True))
     path.write_bytes(np.ascontiguousarray(payload).tobytes())

@@ -252,6 +252,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     for entry in manifest["variants"]:
         entry["status"] = "done"
+    if weights_future is not None:
+        # the fit's diagnostics live here, never in a CSV
+        est = weights_future.result()
+        manifest["weights"] = {"iterations": est.iterations,
+                               "converged": est.converged,
+                               "log_posterior": est.log_posterior,
+                               "trace": list(est.trace)}
     manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
     return {"output_dir": str(out), "variants": plan, "summary": summary,
             "manifest": str(manifest_path)}

@@ -6,20 +6,29 @@ Large kappa_j means the investigator's maps concentrate tightly around the
 consensus; small kappa_j means diffuse, unreliable reports. The MAP point
 estimate is found by block coordinate ascent:
 
-  theta-step  the closed-form posterior-mean candidate is proposed first;
-              if it would lower the joint log-posterior (the mean is a
-              fixed-point map, not a maximizer, so past the first
-              iteration it usually would), the step falls back to exact
-              per-pixel maximization of the concave theta objective by a
-              simplex-constrained Newton iteration
+  theta-step  exact per-pixel maximization of the concave theta block.
+              Every pixel and class sees the same scalar function
+              F(t) = sum_j logGamma(kappa_j t), so the KKT conditions read
+              G(theta_c) = lin_c - lambda with G = F' = sum_j kappa_j
+              psi(kappa_j t) strictly increasing (Minka 2000, the psi
+              inversion). G and dG/du are tabulated once per iteration
+              on a grid in u = log t and inverted by cubic Hermite
+              interpolation; only the per-pixel multiplier lambda is then
+              solved for, by bracketed Newton. The table costs J * nodes
+              special-function calls instead of J * N * C per trial, and
+              the new theta is kept only if the exact joint does not fall
   kappa-step  per-investigator Newton iteration on log kappa, safeguarded
-              by bisection within [log 1e-3, log 1e3]
+              by bisection within [log 1e-3, log 1e3]; an investigator
+              leaves the iteration once its step is below 1e-12
 
 Every accepted step maximizes or provably improves its block, so the
 joint log-posterior ascends monotonically and the iteration lands on a
 genuine local maximum: at convergence each kappa_j is the 1-D optimum
-against the final theta. Point estimates are all the downstream fusion
-needs, which is why no sampler is involved.
+against the final theta. Acceptance, the recorded trace and the ascent
+check all use the exact logGamma objective; the per-investigator terms
+at the current point are kept, so neither block recomputes them. Point
+estimates are all the downstream fusion needs, which is why no sampler
+is involved.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from .fusion import FusionConfig
 KAPPA_MIN = 1e-3
 KAPPA_MAX = 1e3
 _LOG_BRACKET = (np.log(KAPPA_MIN), np.log(KAPPA_MAX))
+_THETA_NODES = 1024                 # grid of the G table in u = log theta
+_LOG_THETA_FLOOR = np.log(1e-12)
 
 
 def _trigamma(x):
@@ -87,19 +98,6 @@ def dirichlet_log_density(p, alpha) -> float:
                  + ((alpha - 1.0) * np.log(p)).sum())
 
 
-def _objective_one(kappa, theta, logp_sum_c, n_pix):
-    """Per-investigator term of the joint log-posterior.
-
-    theta: (N, C) latent proportions at the subsampled pixels
-    logp_sum_c precomputed as (theta * log p).sum() and log(p).sum()
-    """
-    a, b = logp_sum_c
-    return (n_pix * gammaln(kappa)
-            - gammaln(kappa * theta).sum()
-            + kappa * a - b
-            + np.log(kappa) - kappa)
-
-
 def _objective_all(kappa, theta, stats, logp_total, n_pix):
     """All J per-investigator objective terms in one pass; returns (J,)."""
     kt = kappa[:, None, None] * theta[None, :, :]
@@ -113,12 +111,13 @@ def _kappa_newton_all(kappa0, theta, stats, n_pix):
     Newton steps on u = log kappa; the gradient's sign change brackets
     each maximum, and a step leaving its bracket (or taken where the
     curvature is not negative) falls back to bisection for that
-    investigator only.
+    investigator only. An investigator whose step falls below 1e-12
+    leaves the active set: its bracket and steps depend on its own row
+    only, so the others are unaffected.
     """
     lo = np.full(kappa0.shape, _LOG_BRACKET[0])
     hi = np.full(kappa0.shape, _LOG_BRACKET[1])
     u = np.clip(np.log(kappa0), lo, hi)
-    th = theta[None, :, :]
     # Curvature only sets the step size (the gradient-sign bracket and the
     # bisection fallback guard the root), so estimate it from a slice of
     # pixels rather than paying a second full (J, N, C) special-function
@@ -126,69 +125,107 @@ def _kappa_newton_all(kappa0, theta, stats, n_pix):
     n_slice = min(theta.shape[0], 1024)
     th_sq = theta[:n_slice] ** 2
     curv_scale = theta.shape[0] / n_slice
+    act = np.arange(u.size)
     for _ in range(100):
-        k = np.exp(u)
-        kt = k[:, None, None] * th
+        ua = u[act]
+        k = np.exp(ua)
+        kt = k[:, None, None] * theta[None, :, :]
         dk = (n_pix * psi(k) - np.einsum("nc,jnc->j", theta, psi(kt))
-              + stats + 1.0 / k - 1.0)
+              + stats[act] + 1.0 / k - 1.0)
         du = k * dk
-        lo = np.where(du > 0, u, lo)
-        hi = np.where(du <= 0, u, hi)
+        lo[act] = np.where(du > 0, ua, lo[act])
+        hi[act] = np.where(du <= 0, ua, hi[act])
         d2k = (n_pix * _trigamma(k)
                - curv_scale * np.einsum("nc,jnc->j", th_sq,
                                         _trigamma(kt[:, :n_slice, :]))
                - 1.0 / k ** 2)
         d2u = du + k ** 2 * d2k
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = u - du / d2u
-        usable = (d2u < 0) & (newton > lo) & (newton < hi)
-        u_new = np.where(usable, newton, 0.5 * (lo + hi))
-        done = np.abs(u_new - u).max() < 1e-12
-        u = u_new
-        if done:
+            newton = ua - du / d2u
+        usable = (d2u < 0) & (newton > lo[act]) & (newton < hi[act])
+        u_new = np.where(usable, newton, 0.5 * (lo[act] + hi[act]))
+        u[act] = u_new
+        act = act[np.abs(u_new - ua) >= 1e-12]
+        if act.size == 0:
             break
     return np.clip(np.exp(u), KAPPA_MIN, KAPPA_MAX)
 
 
-def _theta_newton(theta, kappa, lin, theta_obj, max_iter=30):
-    """Exact theta block maximization, vectorized over pixels.
+def _theta_kkt(theta, kappa, lin):
+    """Exact theta block maximization through its KKT conditions.
 
-    Per pixel the objective sum_c [lin_c*theta_c - sum_j logGamma(kappa_j
-    theta_c)] is strictly concave on the simplex; a Lagrangian Newton
-    step with a diagonal Hessian has the closed form below. Steps are
-    backtracked until they both keep theta strictly positive and do not
-    lower the per-pixel objective, so the block never regresses.
+    Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)] is strictly
+    concave on the simplex, and its maximum solves G(theta_c) = lin_c -
+    lambda, sum_c theta_c = 1. The inverse of G comes from a table on
+    u = log t over [log min(theta) - 1, 0] (floored at 1e-12); below the
+    table G is extended by its pole, G(t) ~ -J/t + const. The sum of
+    G^-1(lin_c - lambda) is decreasing and convex in lambda, so Newton
+    from the lower end of the bracket [max lin - G(1), max lin - G(1/C)]
+    closes on lambda from one side; bisection backs up any step that
+    leaves the bracket. Pixels leave the iteration once their Newton step
+    is below 1e-13 relative.
     """
-    value = theta_obj(theta)
-    for _ in range(max_iter):
-        kt = kappa[:, None, None] * theta[None, :, :]
-        grad = lin - np.einsum("j,jnc->nc", kappa, psi(kt))
-        curv = np.einsum("j,jnc->nc", kappa ** 2, _trigamma(kt))
-        lam = ((grad / curv).sum(axis=1, keepdims=True)
-               / (1.0 / curv).sum(axis=1, keepdims=True))
-        step = (grad - lam) / curv
-        scale = np.ones((theta.shape[0], 1))
-        for _ in range(60):
-            trial = theta + scale * step
-            bad = (trial <= 1e-12).any(axis=1)
-            if not bad.any():
-                break
-            scale[bad] *= 0.5
-        trial = trial / trial.sum(axis=1, keepdims=True)
-        for _ in range(30):
-            trial_value = theta_obj(trial)
-            if trial_value >= value:
-                break
-            scale *= 0.5
-            trial = theta + scale * step
-            trial = trial / trial.sum(axis=1, keepdims=True)
-        else:
+    n_pix, n_cls = theta.shape
+    n_maps = kappa.size
+    u = np.linspace(max(np.log(theta.min()) - 1.0, _LOG_THETA_FLOOR), 0.0,
+                    _THETA_NODES)
+    t = np.exp(u)
+    kt = kappa[:, None] * t[None, :]
+    g = kappa @ psi(kt)                               # G at the nodes
+    m = 1.0 / (t * (kappa ** 2 @ _trigamma(kt)))      # du/dG at the nodes
+    # cubic Hermite pieces of u(G): u = u_k + s*(b0 + s*(c + s*d)), s in [0, 1]
+    dg = np.diff(g)
+    b0, b1 = dg * m[:-1], dg * m[1:]
+    c = 3.0 * np.diff(u) - 2.0 * b0 - b1
+    d = b0 + b1 - 2.0 * np.diff(u)
+    pole = g[0] + n_maps / t[0]
+
+    def inverse(y):
+        """theta = G^-1(y) and d theta / dy, elementwise."""
+        k = np.clip(np.searchsorted(g, y) - 1, 0, _THETA_NODES - 2)
+        s = (y - g[k]) / dg[k]
+        th = np.exp(u[k] + s * (b0[k] + s * (c[k] + s * d[k])))
+        dth = th * (b0[k] + s * (2.0 * c[k] + 3.0 * s * d[k])) / dg[k]
+        below = y < g[0]
+        th[below] = n_maps / (pole - y[below])
+        dth[below] = th[below] ** 2 / n_maps
+        return th, dth
+
+    top = lin.max(axis=1)
+    lo = top - g[-1]
+    hi = top - kappa @ psi(kappa / n_cls)
+    lam = lo.copy()
+    act = np.arange(n_pix)
+    for _ in range(100):
+        la = lam[act]
+        th, dth = inverse(lin[act] - la[:, None])
+        f = th.sum(axis=1) - 1.0
+        lo[act] = np.where(f > 0, la, lo[act])
+        hi[act] = np.where(f < 0, la, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / dth.sum(axis=1)                # f' = -sum dth
+        done = np.abs(step) <= 1e-13 * (1.0 + np.abs(la))
+        newton = la + step
+        inside = (newton > lo[act]) & (newton < hi[act])
+        lam[act] = np.where(done | inside, newton, 0.5 * (lo[act] + hi[act]))
+        act = act[~done]
+        if act.size == 0:
             break
-        move = np.abs(trial - theta).max()
-        theta, value = trial, trial_value
-        if move < 1e-10:
-            break
-    return theta, value
+    theta, _ = inverse(lin - lam[:, None])
+    return theta / theta.sum(axis=1, keepdims=True)
+
+
+def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
+    """kappa step with exact acceptance; returns the kept kappa and terms.
+
+    An investigator takes its Newton kappa only if its own exact objective
+    term does not fall; its term at the kept kappa is returned with it,
+    so the caller's bookkeeping needs no further sweep.
+    """
+    cand = _kappa_newton_all(kappa, theta, stats, n_pix)
+    cand_terms = _objective_all(cand, theta, stats, logp_total, n_pix)
+    better = cand_terms >= terms
+    return np.where(better, cand, kappa), np.where(better, cand_terms, terms)
 
 
 def estimate_weights(maps, config: FusionConfig | None = None,
@@ -220,49 +257,36 @@ def estimate_weights(maps, config: FusionConfig | None = None,
     logp = np.log(stack)                      # strictly positive by raster contract
     logp_total = logp.sum(axis=(1, 2))        # per-investigator constant term
 
-    def theta_from(kappa):
-        ev = config.prior_alpha + np.einsum("j,jnc->nc", kappa, stack)
-        return ev / (config.prior_alpha * shape.n_classes + kappa.sum())
-
-    def joint(kappa, theta):
+    def evaluate(kappa, theta):
+        """Per-investigator joint terms at (kappa, theta), and theta's stats."""
         stats = np.einsum("nc,jnc->j", theta, logp)
-        return float(_objective_all(kappa, theta, stats, logp_total, n_pix).sum())
+        return _objective_all(kappa, theta, stats, logp_total, n_pix), stats
 
     kappa = np.ones(n_maps)
-    theta = theta_from(kappa)
-    current = joint(kappa, theta)
+    # start from the posterior mean at unit kappa
+    theta = ((config.prior_alpha + np.einsum("j,jnc->nc", kappa, stack))
+             / (config.prior_alpha * shape.n_classes + kappa.sum()))
+    terms, stats = evaluate(kappa, theta)     # always the terms at (kappa, theta)
+    current = float(terms.sum())
     trace = []
     converged = False
     it = 0
     for it in range(1, 201):
-        kappa_prev = kappa.copy()
+        kappa_prev = kappa
 
-        # theta block: posterior-mean proposal, exact Newton refinement
-        cand = theta_from(kappa)
-        if joint(kappa, cand) >= current:
-            theta = cand
-        lin = np.einsum("j,jnc->nc", kappa, logp)
-
-        def theta_obj(t):
-            # the theta-dependent part of the joint, same kappa block
-            return float((lin * t).sum()
-                         - gammaln(kappa[:, None, None] * t[None, :, :]).sum())
-
-        # Warm-started rounds need only an improving theta step, not an
-        # exact block solve; ascent is guarded by backtracking either way.
-        theta, _ = _theta_newton(theta, kappa, lin, theta_obj,
-                                 max_iter=30 if it == 1 else 4)
-        current = max(current, joint(kappa, theta))
+        # theta block: exact KKT solve, kept if the exact joint does not fall
+        cand = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
+        cand_terms, cand_stats = evaluate(kappa, cand)
+        if cand_terms.sum() >= current:
+            theta, terms, stats = cand, cand_terms, cand_stats
 
         # kappa block: exact 1-D maximization per investigator, lockstep
-        stats = np.einsum("nc,jnc->j", theta, logp)
-        cand_kappa = _kappa_newton_all(kappa, theta, stats, n_pix)
-        better = (_objective_all(cand_kappa, theta, stats, logp_total, n_pix)
-                  >= _objective_all(kappa, theta, stats, logp_total, n_pix))
-        kappa = np.where(better, cand_kappa, kappa)
-        new_val = joint(kappa, theta)
-        assert new_val >= current - 1e-9 * max(1.0, abs(current)), \
-            "log-posterior decreased during ascent"
+        kappa, terms = _kappa_block(kappa, terms, theta, stats, logp_total,
+                                    n_pix)
+        new_val = float(terms.sum())
+        if not new_val >= current - 1e-9 * max(1.0, abs(current)):
+            raise RuntimeError("log-posterior decreased during ascent: "
+                               f"{current!r} -> {new_val!r} at iteration {it}")
         current = new_val
         trace.append(current)
 

@@ -52,7 +52,30 @@ def test_fuse_auto_weights(work, capsys):
     lines = (work / "fw" / "weights.csv").read_text().splitlines()
     assert lines[0] == "investigator_id,kappa"
     assert len(lines) == 5
-    assert "inferred weights" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "inferred weights" in captured.out
+    assert "did not converge" not in captured.err
+
+
+def test_fuse_auto_weights_warns_when_fit_did_not_converge(work, capsys,
+                                                          monkeypatch):
+    import dataclasses
+
+    import mapfuse.weights
+
+    fit = mapfuse.weights.estimate_weights
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(fit(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(mapfuse.weights, "estimate_weights", unconverged)
+    rc = main(["fuse", "-i", str(work / "data"), "-o", str(work / "fnc"),
+               "--weights", "auto"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: weight fit did not "
+                                               "converge"), err
+    assert (work / "fnc" / "weights.csv").exists()
 
 
 def test_fuse_weights_from_csv(work, capsys):

@@ -139,6 +139,20 @@ def test_empty_path_rejected():
         save_label_raster(r, "")
 
 
+def test_directory_target_rejected_before_any_write(tmp_path, monkeypatch):
+    r = LabelRaster(GridShape(1, 1, 2), np.zeros((1, 1), dtype=np.uint8))
+    target = tmp_path / "sub"
+    target.mkdir()
+    with pytest.raises(ValueError, match="is a directory"):
+        save_label_raster(r, target)
+    assert not (tmp_path / "sub.json").exists()
+    monkeypatch.chdir(target)
+    with pytest.raises(ValueError, match="is a directory"):
+        save_label_raster(r, ".")
+    assert sorted(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
 def test_loader_regularizes_zeros(tmp_path):
     shape = GridShape(1, 1, 3, ("a", "b", "c"))
     # hand-write a pair whose pixel contains an exact zero

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from mapfuse.grids import GridShape, LabelRaster
-from mapfuse.io import save_label_raster, save_probability_raster
+from mapfuse.io import (load_probability_raster, save_label_raster,
+                        save_probability_raster)
 from mapfuse.pipeline import (PipelineConfig, discover_investigators,
                               load_pipeline_config, plurality_baseline,
                               run_pipeline)
 from mapfuse.synth import materialize_scenario, two_style_scenario
+from mapfuse.weights import estimate_weights
 
 from conftest import make_prob
 
@@ -129,6 +131,27 @@ def test_manifest_and_outputs(panel_dir, tmp_path):
 
     ij = read_csv(out / "iji.csv")
     assert [r[0] for r in ij[1:]] == ["reference"] + res["variants"]
+
+
+def test_manifest_keeps_weight_fit_diagnostics(panel_dir, tmp_path):
+    run_pipeline(config_for(panel_dir, tmp_path / "w",
+                            fusion_modes=("weighted",)))
+    manifest = json.loads((tmp_path / "w" / "manifest.json").read_text())
+    maps = [load_probability_raster(p)
+            for _, p in discover_investigators(panel_dir)]
+    est = estimate_weights(maps, seed=0)
+    assert manifest["weights"] == {"iterations": est.iterations,
+                                   "converged": est.converged,
+                                   "log_posterior": est.log_posterior,
+                                   "trace": list(est.trace)}
+    # diagnostics stay out of the CSVs
+    header = (tmp_path / "w" / "weights.csv").read_text().splitlines()[0]
+    assert header == "investigator_id,kappa"
+
+    run_pipeline(config_for(panel_dir, tmp_path / "u",
+                            fusion_modes=("unweighted",)))
+    manifest = json.loads((tmp_path / "u" / "manifest.json").read_text())
+    assert "weights" not in manifest
 
 
 def test_rerun_is_byte_identical(panel_dir, tmp_path):
