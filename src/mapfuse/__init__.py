@@ -12,12 +12,12 @@ from .accuracy import (AccuracyReport, ConfusionMatrix, MonteCarloResult,
                        monte_carlo_assess, paired_t_test, pearson_correlation,
                        stratified_sample)
 from .clustering import (ClusterModel, EntropyFeatureMatrix, adjusted_rand_index,
-                         cluster_subsets, entropy_features, entropy_map,
-                         kmeans_cluster, kmedoids_cluster)
+                         entropy_features, entropy_map, kmeans_cluster,
+                         kmedoids_cluster)
 from .fusion import (FusionConfig, PosteriorField, fuse, fused_label_map,
                      regularize)
 from .grids import (MAX_CLASSES, NODATA, EntropyRaster, GridShape, LabelRaster,
-                    ProbabilityRaster, hard_classify)
+                    ProbabilityRaster, common_shape, hard_classify)
 from .landscape import EdgeTable, edge_table, iji
 from .pipeline import PipelineConfig, plurality_baseline, run_pipeline
 from .synth import (InvestigatorSpec, SceneSpec, generate_investigator,

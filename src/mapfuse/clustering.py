@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .grids import EntropyRaster, ProbabilityRaster, _freeze
+from .grids import EntropyRaster, ProbabilityRaster, _freeze, common_shape
 
 
 def entropy_map(p: ProbabilityRaster) -> EntropyRaster:
@@ -58,12 +58,7 @@ class EntropyFeatureMatrix:
 
 
 def entropy_features(maps) -> EntropyFeatureMatrix:
-    if len(maps) == 0:
-        raise ValueError("no maps")
-    shape = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != shape:
-            raise ValueError(f"shape mismatch: {m.shape} != {shape}")
+    shape = common_shape(maps)
     rows = np.stack([entropy_map(m).values.ravel() for m in maps])
     return EntropyFeatureMatrix(rows=rows, max_entropy=float(np.log2(shape.n_classes)))
 
@@ -136,8 +131,8 @@ def _lloyd(x: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
         for c in range(k):
             centers[c] = x[new_assign == c].mean(axis=0)
         inertia = float(((x - centers[new_assign]) ** 2).sum())
-        assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia), \
-            "k-means inertia increased"
+        if not inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia):
+            raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
         prev_inertia = inertia
         if (new_assign == assign).all():
             break
@@ -204,9 +199,7 @@ def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Clust
             break
         mi, h = swaps[pick(np.arange(len(swaps)), costs)]
         medoids[mi] = h
-        new_cost = float(costs.min())
-        assert new_cost <= cost, "PAM cost increased on swap"
-        cost = new_cost
+        cost = float(costs.min())
 
     medoids = np.array(sorted(medoids))
     assign = dist[:, medoids].argmin(axis=1)
@@ -218,17 +211,6 @@ def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Clust
         owner = [m for m in medoids if m in members]
         reordered[c] = owner[0]
     return ClusterModel("kmedoids", k, assign, reordered, cost, seed)
-
-
-def cluster_subsets(maps, model: ClusterModel):
-    """Split maps into per-cluster lists, preserving input order."""
-    if len(maps) != len(model.assignment):
-        raise ValueError(f"{len(maps)} maps but assignment of length "
-                         f"{len(model.assignment)}")
-    if model.assignment.max() >= model.k:
-        raise ValueError("assignment references a cluster beyond k")
-    return [[m for m, a in zip(maps, model.assignment) if a == c]
-            for c in range(model.k)]
 
 
 def adjusted_rand_index(a, b) -> float:

@@ -12,36 +12,34 @@ and the posterior mean estimate of the class proportions
 
 with alpha_0 = sum_c alpha[c] and W = sum_j w[j]. No sampling or
 iteration is involved; fusing any number of maps is a single weighted
-sum over the stack.
+sum over the panel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridShape, LabelRaster, ProbabilityRaster, _freeze, hard_classify
+from .grids import (GridShape, LabelRaster, ProbabilityRaster, _freeze, common_shape,
+                    hard_classify)
 
 DEFAULT_EPSILON = 1e-10
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Prior and numeric settings for a fusion run.
+    """Prior of a fusion run.
 
     prior_alpha is a single symmetric concentration applied to every
     class; 1.0 is the flat (uniform) prior used throughout.
     """
 
     prior_alpha: float = 1.0
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if not (self.prior_alpha > 0 and np.isfinite(self.prior_alpha)):
             raise ValueError(f"prior_alpha must be positive, got {self.prior_alpha}")
-        if not (0 < self.epsilon < 1e-3):
-            raise ValueError(f"epsilon must be in (0, 1e-3), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -77,16 +75,6 @@ def regularize(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarr
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def _stack(maps) -> np.ndarray:
-    if len(maps) == 0:
-        raise ValueError("need at least one probability raster to fuse")
-    shape = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != shape:
-            raise ValueError(f"shape mismatch: {m.shape} != {shape}")
-    return np.stack([m.values for m in maps])  # (J, H, W, C)
-
-
 def fuse(maps, weights=None, config: FusionConfig | None = None) -> PosteriorField:
     """Fuse probability rasters into a posterior field.
 
@@ -94,8 +82,8 @@ def fuse(maps, weights=None, config: FusionConfig | None = None) -> PosteriorFie
     ones (each map counts as a single observation).
     """
     config = config or FusionConfig()
-    stack = _stack(maps)
-    n_maps = stack.shape[0]
+    shape = common_shape(maps)
+    n_maps = len(maps)
     if weights is None:
         w = np.ones(n_maps)
     else:
@@ -105,8 +93,8 @@ def fuse(maps, weights=None, config: FusionConfig | None = None) -> PosteriorFie
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
 
-    shape = maps[0].shape
-    evidence = np.einsum("j,jhwc->hwc", w, stack)
+    # accumulated map by map: no (J, H, W, C) copy of the panel
+    evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
     alpha_post = config.prior_alpha + evidence
     strength = config.prior_alpha * shape.n_classes + w.sum()
     mean = ProbabilityRaster(shape, alpha_post / strength)

@@ -129,6 +129,17 @@ class EntropyRaster:
         object.__setattr__(self, "values", _freeze(v))
 
 
+def common_shape(maps) -> GridShape:
+    """The grid every raster of a non-empty panel shares; raises otherwise."""
+    if len(maps) == 0:
+        raise ValueError("no maps: need at least one raster")
+    shape = maps[0].shape
+    for m in maps[1:]:
+        if m.shape != shape:
+            raise ValueError(f"shape mismatch: {m.shape} != {shape}")
+    return shape
+
+
 def hard_classify(raster: ProbabilityRaster) -> LabelRaster:
     """Per-pixel argmax over class probabilities.
 

@@ -5,11 +5,12 @@ band-sequential samples (all of band 0 row-major, then band 1, ...) in
 little-endian order, and the header at ``path + ".json"`` describing it:
 
     {"width": W, "height": H, "bands": B, "dtype": "f32"|"u8",
-     "class_names": [...], "nodata": int|null, "byte_order": "little"}
+     "class_names": [str, ...], "nodata": 255|null, "byte_order": "little"}
 
-Probability rasters use dtype f32 with bands = n_classes; label rasters
-use dtype u8 with a single band. Probabilities are stored as 32-bit
-floats to halve file size; in-memory computation is always float64.
+with W, H, B positive ints. Probability rasters use dtype f32 with
+bands = n_classes; label rasters u8 and entropy rasters f32, each with
+a single band. Probabilities are stored as 32-bit floats to halve file
+size; in-memory computation is always float64.
 """
 
 from __future__ import annotations
@@ -29,18 +30,31 @@ def _header_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _write_pair(path, header: dict, payload: np.ndarray) -> None:
+def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> None:
+    """Write a band-sequential (B, H, W) f32 or u8 payload and its header."""
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
     if path.is_dir():
         raise ValueError(f"raster path {path} is a directory")
+    dtype = next(name for name, dt in _DTYPES.items() if dt == payload.dtype)
+    header = {
+        "width": shape.width,
+        "height": shape.height,
+        "bands": payload.shape[0],
+        "dtype": dtype,
+        "class_names": list(shape.class_names),
+        "nodata": nodata,
+        "byte_order": "little",
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
     _header_path(path).write_text(json.dumps(header, indent=None, sort_keys=True))
     path.write_bytes(np.ascontiguousarray(payload).tobytes())
 
 
-def _read_pair(path) -> tuple[dict, np.ndarray]:
+def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarray]:
+    """Read a pair whose header must declare ``dtype`` and ``bands`` bands
+    (None: one per class name); returns the grid and the (B, H, W) payload."""
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
@@ -49,146 +63,71 @@ def _read_pair(path) -> tuple[dict, np.ndarray]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed header for {path}: {exc}") from exc
     required = {"width", "height", "bands", "dtype", "class_names", "nodata", "byte_order"}
-    missing = required - header.keys()
+    missing = required - header.keys() if isinstance(header, dict) else required
     if missing:
         raise ValueError(f"malformed header for {path}: missing {sorted(missing)}")
     if header["byte_order"] != "little":
-        raise ValueError(f"unsupported byte order {header['byte_order']!r}")
-    if header["dtype"] not in _DTYPES:
-        raise ValueError(f"unsupported dtype {header['dtype']!r}")
-    dtype = _DTYPES[header["dtype"]]
-    w, h, b = header["width"], header["height"], header["bands"]
+        raise ValueError(f"unsupported byte order {header['byte_order']!r} in {path}")
+    w, h, b, names, nodata = (header[k] for k in
+                              ("width", "height", "bands", "class_names", "nodata"))
+    if not (all(type(v) is int and v > 0 for v in (w, h, b))
+            and isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and (nodata is None or type(nodata) is int and nodata == NODATA)):
+        raise ValueError(f"malformed header for {path}: width, height and bands must "
+                         f"be positive integers, class_names a list of strings and "
+                         f"nodata null or {NODATA}")
+    bands = len(names) if bands is None else bands
+    if header["dtype"] != dtype or b != bands:
+        raise ValueError(f"{path} must hold {bands} {dtype} band(s), header has "
+                         f"{b} of dtype {header['dtype']!r}")
+    try:
+        shape = GridShape(w, h, len(names), tuple(names))
+    except ValueError as exc:
+        raise ValueError(f"malformed header for {path}: {exc}") from exc
     raw = path.read_bytes()
-    expected = w * h * b * dtype.itemsize
+    expected = w * h * b * _DTYPES[dtype].itemsize
     if len(raw) != expected:
         raise ValueError(
             f"dimension mismatch for {path}: header implies {expected} bytes, "
             f"payload has {len(raw)}"
         )
-    data = np.frombuffer(raw, dtype=dtype).reshape(b, h, w)
-    return header, data
+    return shape, np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(b, h, w)
 
 
 def save_probability_raster(raster: ProbabilityRaster, path) -> None:
-    shape = raster.shape
-    header = {
-        "width": shape.width,
-        "height": shape.height,
-        "bands": shape.n_classes,
-        "dtype": "f32",
-        "class_names": list(shape.class_names),
-        "nodata": None,
-        "byte_order": "little",
-    }
     # (H, W, C) -> band-sequential (C, H, W)
-    payload = np.moveaxis(raster.values, 2, 0).astype("<f4")
-    _write_pair(path, header, payload)
+    _write_pair(path, raster.shape, np.moveaxis(raster.values, 2, 0).astype("<f4"))
 
 
-def load_probability_raster(path, epsilon: float = 1e-10) -> ProbabilityRaster:
+def load_probability_raster(path) -> ProbabilityRaster:
     """Load and validate a probability stack, regularizing on the way in.
 
-    Zero components are replaced by ``epsilon`` and every pixel vector is
-    renormalized to sum to one, so downstream Dirichlet math never sees a
-    zero probability.
+    Zero components are replaced by a tiny epsilon and every pixel vector
+    is renormalized to sum to one, so downstream Dirichlet math never sees
+    a zero probability. NaN, Inf or negative samples are rejected.
     """
-    header, data = _read_pair(path)
-    if header["bands"] != len(header["class_names"]):
-        raise ValueError(
-            f"dimension mismatch for {path}: {header['bands']} bands vs "
-            f"{len(header['class_names'])} class names"
-        )
-    if header["dtype"] != "f32":
-        raise ValueError(f"probability raster {path} must be f32, got {header['dtype']}")
-    shape = GridShape(header["width"], header["height"], header["bands"],
-                      tuple(header["class_names"]))
+    shape, data = _read_pair(path, "f32", None)
     values = np.moveaxis(data, 0, 2).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError(f"probability raster {path} contains NaN or Inf")
-    if (values < 0).any():
-        raise ValueError(f"probability raster {path} contains negative values")
-    return ProbabilityRaster(shape, regularize(values, epsilon))
+    try:
+        with np.errstate(invalid="ignore"):      # ProbabilityRaster rejects NaN/Inf
+            return ProbabilityRaster(shape, regularize(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_label_raster(raster: LabelRaster, path) -> None:
-    shape = raster.shape
-    header = {
-        "width": shape.width,
-        "height": shape.height,
-        "bands": 1,
-        "dtype": "u8",
-        "class_names": list(shape.class_names),
-        "nodata": NODATA,
-        "byte_order": "little",
-    }
-    _write_pair(path, header, raster.values[None, :, :])
+    _write_pair(path, raster.shape, raster.values[None, :, :], nodata=NODATA)
 
 
 def load_label_raster(path) -> LabelRaster:
-    header, data = _read_pair(path)
-    if header["dtype"] != "u8" or header["bands"] != 1:
-        raise ValueError(f"label raster {path} must be single-band u8")
-    shape = GridShape(header["width"], header["height"], len(header["class_names"]),
-                      tuple(header["class_names"]))
+    shape, data = _read_pair(path, "u8", 1)
     return LabelRaster(shape, data[0])
 
 
 def save_entropy_raster(raster: EntropyRaster, path) -> None:
-    save_float_raster(raster.values, raster.shape, path)
+    _write_pair(path, raster.shape, raster.values[None, :, :].astype("<f4"))
 
 
 def load_entropy_raster(path) -> EntropyRaster:
-    values, shape = load_float_raster(path)
-    if values.ndim != 2:
-        raise ValueError(f"entropy raster {path} must be single-band")
-    return EntropyRaster(shape, values)
-
-
-def save_float_raster(values: np.ndarray, shape: GridShape, path) -> None:
-    """Persist an unconstrained f32 stack (entropy maps, posterior alpha)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2:
-        payload = values[None, :, :]
-    else:
-        payload = np.moveaxis(values, 2, 0)
-    header = {
-        "width": shape.width,
-        "height": shape.height,
-        "bands": payload.shape[0],
-        "dtype": "f32",
-        "class_names": list(shape.class_names),
-        "nodata": None,
-        "byte_order": "little",
-    }
-    _write_pair(path, header, payload.astype("<f4"))
-
-
-def load_float_raster(path) -> tuple[np.ndarray, GridShape]:
-    header, data = _read_pair(path)
-    if header["dtype"] != "f32":
-        raise ValueError(f"float raster {path} must be f32")
-    shape = GridShape(header["width"], header["height"], len(header["class_names"]),
-                      tuple(header["class_names"]))
-    values = data.astype(np.float64)
-    if values.shape[0] == 1:
-        return values[0], shape
-    return np.moveaxis(values, 0, 2), shape
-
-
-# Small fixed palette for quick visual inspection; rendering fidelity is
-# not contractual.
-_PALETTE = np.array(
-    [(27, 120, 55), (230, 171, 2), (117, 112, 179), (44, 123, 182),
-     (215, 48, 39), (166, 86, 40), (247, 129, 191), (153, 153, 153)],
-    dtype=np.uint8,
-)
-
-
-def render_label_ppm(raster: LabelRaster, path) -> None:
-    """Write an indexed-color binary PPM of a label map."""
-    idx = raster.values.astype(np.int64) % len(_PALETTE)
-    rgb = _PALETTE[idx]
-    rgb[~raster.valid_mask()] = 0
-    with open(path, "wb") as fh:
-        fh.write(f"P6 {raster.shape.width} {raster.shape.height} 255\n".encode())
-        fh.write(rgb.tobytes())
+    shape, data = _read_pair(path, "f32", 1)
+    return EntropyRaster(shape, data[0].astype(np.float64))

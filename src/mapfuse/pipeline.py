@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .accuracy import monte_carlo_assess, paired_t_test, write_mc_csv
-from .clustering import (cluster_subsets, entropy_features, kmeans_cluster,
-                         kmedoids_cluster, save_cluster_model)
+from .accuracy import _fmt, monte_carlo_assess, paired_t_test, write_mc_csv
+from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
+                         save_cluster_model)
 from .fusion import FusionConfig, fuse, fused_label_map
-from .grids import LabelRaster, hard_classify
+from .grids import LabelRaster, common_shape, hard_classify
 from .io import (load_label_raster, load_probability_raster, save_label_raster,
                  save_probability_raster)
 from .landscape import iji, write_iji_csv
@@ -92,7 +92,13 @@ def discover_investigators(input_dir):
         raise ValueError(f"input directory {d} does not exist")
     index = d / "index.json"
     if index.exists():
-        names = json.loads(index.read_text())["investigators"]
+        doc = json.loads(index.read_text())
+        names = doc.get("investigators") if isinstance(doc, dict) else None
+        if not (isinstance(names, list) and all(
+                isinstance(n, str) and n not in ("", "..") and Path(n).name == n
+                for n in names)):
+            raise ValueError(f"malformed {index}: 'investigators' must be a list "
+                             "of file names in that directory")
         return [(n, d / n) for n in names]
     found = []
     for sidecar in sorted(d.glob("*.json")):
@@ -110,18 +116,12 @@ def discover_investigators(input_dir):
 
 def plurality_baseline(maps) -> LabelRaster:
     """Per-pixel plurality vote over investigator hard maps (ties: lowest class)."""
-    if not maps:
-        raise ValueError("no maps")
-    shape = maps[0].shape
+    shape = common_shape(maps)
     votes = np.zeros((shape.height, shape.width, shape.n_classes), dtype=np.int64)
     hw = (np.arange(shape.height)[:, None], np.arange(shape.width)[None, :])
     for m in maps:
         votes[hw[0], hw[1], hard_classify(m).values] += 1
     return LabelRaster(shape, votes.argmax(axis=2))
-
-
-def _fmt(v: float) -> str:
-    return "" if np.isnan(v) else repr(float(v))
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -135,9 +135,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     named = discover_investigators(config.input_dir)
     ids = [n for n, _ in named]
     maps = [load_probability_raster(p) for _, p in named]
-    for n, m in zip(ids, maps):
-        if m.shape != reference.shape:
-            raise ValueError(f"map {n} shape {m.shape} != reference {reference.shape}")
+    if common_shape(maps) != reference.shape:
+        raise ValueError(f"map shape {maps[0].shape} != reference {reference.shape}")
     n_maps = len(maps)
 
     if "clustered" in config.fusion_modes:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .fusion import regularize
-from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster
+from .grids import GridShape, LabelRaster, ProbabilityRaster
 
 __all__ = [
     "SceneSpec", "InvestigatorSpec", "generate_scene", "generate_investigator",
@@ -185,7 +185,8 @@ def generate_scene(spec: SceneSpec) -> LabelRaster:
                     labels[holes[i]] = cls
                     remaining[cls] -= 1
                     break
-    assert (labels >= 0).all() and not remaining.any()
+    if (labels < 0).any() or remaining.any():
+        raise RuntimeError("scene repair left pixels unlabeled or quotas unmet")
     return LabelRaster(shape, labels.reshape(h, w))
 
 

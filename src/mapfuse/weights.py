@@ -40,6 +40,7 @@ import numpy as np
 from scipy.special import gammaln, psi
 
 from .fusion import FusionConfig
+from .grids import common_shape
 
 KAPPA_MIN = 1e-3
 KAPPA_MAX = 1e3
@@ -241,17 +242,14 @@ def estimate_weights(maps, config: FusionConfig | None = None,
     if subsample < 100:
         raise ValueError(f"subsample too small: {subsample} < 100")
     config = config or FusionConfig()
-    shape = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != shape:
-            raise ValueError(f"shape mismatch: {m.shape} != {shape}")
+    shape = common_shape(maps)
 
     n_total = shape.n_pixels
-    stack = np.stack([m.values.reshape(n_total, shape.n_classes) for m in maps])
+    idx = slice(None)
     if subsample < n_total:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n_total, size=subsample, replace=False)
-        stack = stack[:, idx, :]
+        idx = np.random.default_rng(seed).choice(n_total, size=subsample, replace=False)
+    # only the subsampled pixels are copied out of the panel
+    stack = np.stack([m.values.reshape(n_total, shape.n_classes)[idx] for m in maps])
     n_maps, n_pix, _ = stack.shape
 
     logp = np.log(stack)                      # strictly positive by raster contract

@@ -3,10 +3,12 @@
 import importlib.metadata
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mapfuse
@@ -124,6 +126,31 @@ def test_entropy_command(work, capsys):
     rc = main(["entropy", "-i", str(work / "data" / "truth"),
                "-o", str(work / "ent2")])
     assert rc == 2
+
+
+def test_malformed_header_exits_2(work, capsys, tmp_path):
+    for name in ("truth", "truth.json"):
+        shutil.copy(work / "data" / name, tmp_path / name)
+    header = json.loads((tmp_path / "truth.json").read_text())
+    header["width"] = float(header["width"])
+    (tmp_path / "truth.json").write_text(json.dumps(header))
+    rc = main(["iji", str(tmp_path / "truth")])
+    assert rc == 2
+    assert "positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_fuse_rejects_non_probability_payload(work, capsys, tmp_path, bad):
+    data = tmp_path / "data"
+    shutil.copytree(work / "data", data)
+    ids = json.loads((data / "index.json").read_text())["investigators"]
+    raw = np.frombuffer((data / ids[1]).read_bytes(), dtype="<f4").copy()
+    raw[7] = bad
+    (data / ids[1]).write_bytes(raw.tobytes())
+    rc = main(["fuse", "-i", str(data), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data / ids[1]) in err
 
 
 def test_assess_command(work, capsys):

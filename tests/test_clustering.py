@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapfuse.clustering as clustering
 from mapfuse.clustering import (ClusterModel, EntropyFeatureMatrix,
-                                adjusted_rand_index, cluster_subsets,
-                                entropy_features, entropy_map, kmeans_cluster,
-                                kmedoids_cluster, load_cluster_model,
-                                save_cluster_model)
+                                adjusted_rand_index, entropy_features,
+                                entropy_map, kmeans_cluster, kmedoids_cluster,
+                                load_cluster_model, save_cluster_model)
 from mapfuse.grids import GridShape, ProbabilityRaster
 
 from conftest import make_prob, random_prob
@@ -188,40 +188,26 @@ def test_cluster_k_validation():
             fit(f, 4, seed=0)
 
 
-# ---------------------------------------------------------------- subsets
+# ---------------------------------------------------------------- model
 
-def test_cluster_subsets_partition():
-    rng = np.random.default_rng(12)
-    maps = [random_prob(rng, 2, 2, 3) for _ in range(3)]
-    model = ClusterModel(method="kmeans", k=2,
-                         assignment=np.array([0, 1, 0]),
-                         centers=np.zeros((2, 12)), inertia=0.0, seed=0)
-    subsets = cluster_subsets(maps, model)
-    assert len(subsets) == 2
-    assert subsets[0][0] is maps[0] and subsets[0][1] is maps[2]
-    assert len(subsets[0]) == 2
-    assert len(subsets[1]) == 1 and subsets[1][0] is maps[1]
-    # degenerate single-cluster assignment returns the input as one subset
-    all_same = ClusterModel(method="kmeans", k=1,
-                            assignment=np.array([0, 0, 0]),
-                            centers=np.zeros((1, 12)), inertia=0.0, seed=0)
-    (only,) = cluster_subsets(maps, all_same)
-    assert [m is n for m, n in zip(only, maps)] == [True, True, True]
-
-
-def test_cluster_subsets_single_cluster_and_errors():
-    rng = np.random.default_rng(13)
-    maps = [random_prob(rng, 2, 2, 3) for _ in range(3)]
+def test_cluster_model_rejects_bad_assignment():
     with pytest.raises(ValueError):
         ClusterModel(method="kmeans", k=2, assignment=np.array([0, 5, 0]),
                      centers=np.zeros((2, 12)), inertia=0.0, seed=0)
     with pytest.raises(ValueError, match="non-empty"):
         ClusterModel(method="kmeans", k=2, assignment=np.array([0, 0, 0]),
                      centers=np.zeros((2, 12)), inertia=0.0, seed=0)
-    model = ClusterModel(method="kmeans", k=2, assignment=np.array([0, 1, 0]),
-                         centers=np.zeros((2, 12)), inertia=0.0, seed=0)
-    with pytest.raises(ValueError, match="assignment of length"):
-        cluster_subsets(maps[:2], model)
+
+
+def test_lloyd_inertia_check_is_a_runtime_error(monkeypatch):
+    # assigning every point to its farthest centroid raises the inertia;
+    # the check must fire as an explicit error, also under python -O
+    real = clustering.cdist
+    monkeypatch.setattr(clustering, "cdist",
+                        lambda a, b, metric: -real(a, b, metric))
+    rows = np.random.default_rng(5).random((8, 6))
+    with pytest.raises(RuntimeError, match="inertia increased"):
+        kmeans_cluster(_features(rows, max_entropy=1.0), 3, seed=0)
 
 
 @settings(max_examples=30, deadline=None)

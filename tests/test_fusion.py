@@ -141,12 +141,7 @@ def test_fusion_config_validation():
         FusionConfig(prior_alpha=0.0)
     with pytest.raises(ValueError):
         FusionConfig(prior_alpha=np.inf)
-    with pytest.raises(ValueError):
-        FusionConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        FusionConfig(epsilon=1e-2)
-    cfg = FusionConfig(prior_alpha=0.5)
-    assert cfg.epsilon == 1e-10
+    assert FusionConfig(prior_alpha=0.5).prior_alpha == 0.5
 
 
 def test_prior_alpha_scales_strength():

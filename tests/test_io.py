@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from mapfuse.grids import (NODATA, EntropyRaster, GridShape, LabelRaster,
                            ProbabilityRaster)
 from mapfuse.io import (load_entropy_raster, load_label_raster,
-                        load_probability_raster, render_label_ppm,
-                        save_entropy_raster, save_label_raster,
-                        save_probability_raster)
+                        load_probability_raster, save_entropy_raster,
+                        save_label_raster, save_probability_raster)
 
 from conftest import make_labels, random_prob
 
@@ -168,9 +167,40 @@ def test_loader_regularizes_zeros(tmp_path):
     assert shape == r.shape
 
 
-def test_render_ppm_smoke(tmp_path):
-    r = make_labels([[0, 1], [NODATA, 2]], n_classes=3)
-    render_label_ppm(r, tmp_path / "m.ppm")
-    raw = (tmp_path / "m.ppm").read_bytes()
-    assert raw.startswith(b"P6 2 2 255\n")
-    assert len(raw) == len(b"P6 2 2 255\n") + 2 * 2 * 3
+@pytest.mark.parametrize("key,value", [
+    ("width", 2.0), ("width", "2"), ("height", True), ("height", -2),
+    ("bands", 0), ("nodata", 7), ("nodata", 255.0), ("class_names", "ab"),
+    ("class_names", ["a", 1]), ("class_names", ["a", "a"]),
+])
+def test_header_fields_are_strict(tmp_path, key, value):
+    save_label_raster(make_labels([[0, 1], [1, 0]], n_classes=2), tmp_path / "m")
+    header = json.loads((tmp_path / "m.json").read_text())
+    header[key] = value
+    (tmp_path / "m.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="malformed header") as info:
+        load_label_raster(tmp_path / "m")
+    assert str(tmp_path / "m") in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
+def test_probability_loader_rejects_non_probabilities(tmp_path, bad):
+    save_probability_raster(random_prob(np.random.default_rng(3), 2, 2, 3),
+                            tmp_path / "p")
+    raw = np.frombuffer((tmp_path / "p").read_bytes(), dtype="<f4").copy()
+    raw[5] = bad
+    (tmp_path / "p").write_bytes(raw.tobytes())
+    with pytest.raises(ValueError, match="NaN or Inf|negative") as info:
+        load_probability_raster(tmp_path / "p")
+    assert str(tmp_path / "p") in str(info.value)
+
+
+def test_loaders_check_dtype_and_band_count(tmp_path):
+    rng = np.random.default_rng(4)
+    save_probability_raster(random_prob(rng, 2, 2, 3), tmp_path / "p")
+    save_label_raster(make_labels([[0, 1]], n_classes=2), tmp_path / "m")
+    with pytest.raises(ValueError, match="1 u8 band"):
+        load_label_raster(tmp_path / "p")
+    with pytest.raises(ValueError, match="1 f32 band"):
+        load_entropy_raster(tmp_path / "p")
+    with pytest.raises(ValueError, match="2 f32 band"):
+        load_probability_raster(tmp_path / "m")

@@ -183,6 +183,11 @@ def test_plurality_baseline_majority_and_ties():
     assert plurality_baseline(m[1:]).values[0, 0] == 0
     with pytest.raises(ValueError, match="no maps"):
         plurality_baseline([])
+    # a 1x1 map must not vote into a 2x2 grid, nor a 3x3 map index past it
+    one, two, three = (make_prob(np.full((n, n, 2), 0.5)) for n in (1, 2, 3))
+    for panel in ([one, two], [two, three]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            plurality_baseline(panel)
 
 
 # ------------------------------------------------------------ discovery
@@ -204,6 +209,21 @@ def test_discovery_falls_back_to_sidecar_scan(tmp_path):
                       tmp_path / "truth")
     named = discover_investigators(tmp_path)
     assert [n for n, _ in named] == ["alpha", "beta"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"truth": "truth"},
+    {"investigators": "inv00"},
+    {"investigators": ["inv00", "../x"]},
+    {"investigators": ["sub/inv00"]},
+    {"investigators": [".."]},
+    {"investigators": [3]},
+    ["inv00"],
+])
+def test_discovery_rejects_malformed_index(tmp_path, doc):
+    (tmp_path / "index.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed .*index.json"):
+        discover_investigators(tmp_path)
 
 
 def test_discovery_errors(tmp_path):
