@@ -14,8 +14,7 @@ from .accuracy import (AccuracyReport, ConfusionMatrix, MonteCarloResult,
 from .clustering import (ClusterModel, EntropyFeatureMatrix, adjusted_rand_index,
                          entropy_features, entropy_map, kmeans_cluster,
                          kmedoids_cluster)
-from .fusion import (FusionConfig, PosteriorField, fuse, fused_label_map,
-                     regularize)
+from .fusion import PosteriorField, fuse, fused_label_map, regularize
 from .grids import (MAX_CLASSES, NODATA, EntropyRaster, GridShape, LabelRaster,
                     ProbabilityRaster, common_shape, hard_classify)
 from .landscape import EdgeTable, edge_table, iji
@@ -23,6 +22,6 @@ from .pipeline import PipelineConfig, plurality_baseline, run_pipeline
 from .synth import (InvestigatorSpec, SceneSpec, generate_investigator,
                     generate_scene, style_kernel, two_style_scenario,
                     uniform_kernel)
-from .weights import WeightEstimate, dirichlet_log_density, estimate_weights
+from .weights import WeightEstimate, estimate_weights
 
 __version__ = "0.1.0"

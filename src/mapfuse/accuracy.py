@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc
 
 from .grids import NODATA, LabelRaster, _freeze
 
@@ -108,82 +108,56 @@ def accuracy_report(cm: ConfusionMatrix) -> AccuracyReport:
                           users=users, producers=producers)
 
 
-def stratified_sample(ref: LabelRaster, per_class: int, seed: int,
-                      with_replacement: bool = False) -> np.ndarray:
-    """Draw per_class pixel indices from each class present in ref.
+def _class_pools(ref: LabelRaster, per_class: int) -> list:
+    """Pixel indices of every class present in ref, in ascending class order.
 
-    Classes are visited in ascending index order from a single seeded
-    stream, so the draw is deterministic. Raises if some present class
-    has fewer than per_class pixels and replacement is off.
+    Raises if some present class has fewer than per_class pixels.
     """
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     flat = ref.values.ravel()
-    rng = np.random.default_rng(seed)
-    chunks = []
+    pools = []
     for c in range(ref.shape.n_classes):
         pool = np.flatnonzero(flat == c)
         if pool.size == 0:
             continue
-        if pool.size < per_class and not with_replacement:
+        if pool.size < per_class:
             raise ValueError(
                 f"class {ref.shape.class_names[c]!r} has only {pool.size} pixels, "
                 f"cannot draw {per_class} without replacement")
-        chunks.append(rng.choice(pool, size=per_class, replace=with_replacement))
-    if not chunks:
+        pools.append(pool)
+    if not pools:
         raise ValueError("reference contains no valid pixels")
-    return np.concatenate(chunks)
+    return pools
+
+
+def _draw(pools, per_class: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.choice(pool, size=per_class, replace=False)
+                           for pool in pools])
+
+
+def stratified_sample(ref: LabelRaster, per_class: int, seed: int) -> np.ndarray:
+    """Draw per_class pixel indices from each class present in ref.
+
+    Classes are visited in ascending index order from a single seeded
+    stream, so the draw is deterministic. Raises if some present class
+    has fewer than per_class pixels.
+    """
+    return _draw(_class_pools(ref, per_class), per_class, seed)
 
 
 def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
                        per_class: int, seed: int) -> MonteCarloResult:
+    """Iteration i scores pred on ``stratified_sample(ref, per_class, seed + i)``;
+    the class pools are built once and shared by every iteration."""
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    reports = []
-    for i in range(n_iterations):
-        idx = stratified_sample(ref, per_class, seed + i)
-        reports.append(accuracy_report(confusion(pred, ref, idx)))
+    pools = _class_pools(ref, per_class)
+    reports = [accuracy_report(confusion(pred, ref, _draw(pools, per_class, seed + i)))
+               for i in range(n_iterations)]
     return MonteCarloResult(n_iterations=n_iterations, per_iteration=reports,
                             per_class_sample_size=per_class, seed=seed)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    d = 1.0 / (d if abs(d) >= tiny else tiny)
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) >= tiny else tiny)
-            c = 1.0 + aa / c
-            c = c if abs(c) >= tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) < 3e-14:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x in (0.0, 1.0):
-        return x
-    ln_front = (gammaln(a + b) - gammaln(a) - gammaln(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    # the continued fraction converges fast only below the distribution mean
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def paired_t_test(a, b) -> tuple[float, float, int]:
@@ -205,7 +179,7 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     if sd == 0.0:
         return 0.0, 1.0, df
     t = float(d.mean() / (sd / math.sqrt(n)))
-    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p, df
 
 

@@ -148,11 +148,10 @@ def _cmd_assess(args) -> int:
 
 def _cmd_iji(args) -> int:
     from .io import load_label_raster
-    from .landscape import edge_table, iji
+    from .landscape import edge_table
 
-    raster = load_label_raster(args.map)
-    table = edge_table(raster)
-    value = iji(raster)
+    table = edge_table(load_label_raster(args.map))
+    value = table.iji
     shown = "undefined" if np.isnan(value) else f"{value:.6f}"
     print(f"m={table.m} E={table.total} IJI={shown}")
     return 0

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .grids import EntropyRaster, ProbabilityRaster, _freeze, common_shape
+from .io import is_bare_file_name
 
 
 def entropy_map(p: ProbabilityRaster) -> EntropyRaster:
@@ -260,6 +261,9 @@ def load_cluster_model(path) -> ClusterModel:
     if doc["method"] == "kmedoids":
         centers = np.asarray(doc["medoid_indices"], dtype=np.int64)
     else:
+        if not is_bare_file_name(doc["centers_file"]):
+            raise ValueError(f"malformed cluster model {path}: centers_file must "
+                             "be a file name in that directory")
         raw = (path.parent / doc["centers_file"]).read_bytes()
         centers = np.frombuffer(raw, dtype="<f8").reshape(doc["centers_shape"])
     return ClusterModel(doc["method"], doc["k"], np.asarray(doc["assignment"]),

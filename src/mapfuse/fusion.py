@@ -28,21 +28,6 @@ DEFAULT_EPSILON = 1e-10
 
 
 @dataclass(frozen=True)
-class FusionConfig:
-    """Prior of a fusion run.
-
-    prior_alpha is a single symmetric concentration applied to every
-    class; 1.0 is the flat (uniform) prior used throughout.
-    """
-
-    prior_alpha: float = 1.0
-
-    def __post_init__(self):
-        if not (self.prior_alpha > 0 and np.isfinite(self.prior_alpha)):
-            raise ValueError(f"prior_alpha must be positive, got {self.prior_alpha}")
-
-
-@dataclass(frozen=True)
 class PosteriorField:
     """Fusion output: per-pixel posterior concentrations and their mean."""
 
@@ -75,13 +60,16 @@ def regularize(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarr
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def fuse(maps, weights=None, config: FusionConfig | None = None) -> PosteriorField:
+def fuse(maps, weights=None, prior_alpha: float = 1.0) -> PosteriorField:
     """Fuse probability rasters into a posterior field.
 
     weights : per-map positive weights, one per raster; defaults to all
     ones (each map counts as a single observation).
+    prior_alpha : symmetric Dirichlet prior concentration for every
+    class; 1.0 is the flat (uniform) prior used throughout.
     """
-    config = config or FusionConfig()
+    if not (prior_alpha > 0 and np.isfinite(prior_alpha)):
+        raise ValueError(f"prior_alpha must be positive, got {prior_alpha}")
     shape = common_shape(maps)
     n_maps = len(maps)
     if weights is None:
@@ -95,8 +83,8 @@ def fuse(maps, weights=None, config: FusionConfig | None = None) -> PosteriorFie
 
     # accumulated map by map: no (J, H, W, C) copy of the panel
     evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
-    alpha_post = config.prior_alpha + evidence
-    strength = config.prior_alpha * shape.n_classes + w.sum()
+    alpha_post = prior_alpha + evidence
+    strength = prior_alpha * shape.n_classes + w.sum()
     mean = ProbabilityRaster(shape, alpha_post / strength)
     return PosteriorField(shape=shape, alpha=alpha_post, mean=mean, weights=w)
 

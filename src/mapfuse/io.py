@@ -26,6 +26,11 @@ from .grids import NODATA, EntropyRaster, GridShape, LabelRaster, ProbabilityRas
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
+def is_bare_file_name(name) -> bool:
+    """True for a file name with no directory part ("x", not "../x" or "a/x")."""
+    return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
 def _header_path(path) -> Path:
     return Path(str(path) + ".json")
 
@@ -52,9 +57,9 @@ def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> Non
     path.write_bytes(np.ascontiguousarray(payload).tobytes())
 
 
-def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarray]:
-    """Read a pair whose header must declare ``dtype`` and ``bands`` bands
-    (None: one per class name); returns the grid and the (B, H, W) payload."""
+def read_header(path) -> tuple[GridShape, dict]:
+    """Parse and check the header of the raster at ``path``; returns its
+    grid and the header fields."""
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
@@ -76,22 +81,30 @@ def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarr
         raise ValueError(f"malformed header for {path}: width, height and bands must "
                          f"be positive integers, class_names a list of strings and "
                          f"nodata null or {NODATA}")
-    bands = len(names) if bands is None else bands
+    try:
+        return GridShape(w, h, len(names), tuple(names)), header
+    except ValueError as exc:
+        raise ValueError(f"malformed header for {path}: {exc}") from exc
+
+
+def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarray]:
+    """Read a pair whose header must declare ``dtype`` and ``bands`` bands
+    (None: one per class name); returns the grid and the (B, H, W) payload."""
+    shape, header = read_header(path)
+    path, b = Path(path), header["bands"]
+    bands = shape.n_classes if bands is None else bands
     if header["dtype"] != dtype or b != bands:
         raise ValueError(f"{path} must hold {bands} {dtype} band(s), header has "
                          f"{b} of dtype {header['dtype']!r}")
-    try:
-        shape = GridShape(w, h, len(names), tuple(names))
-    except ValueError as exc:
-        raise ValueError(f"malformed header for {path}: {exc}") from exc
     raw = path.read_bytes()
-    expected = w * h * b * _DTYPES[dtype].itemsize
+    expected = shape.n_pixels * b * _DTYPES[dtype].itemsize
     if len(raw) != expected:
         raise ValueError(
             f"dimension mismatch for {path}: header implies {expected} bytes, "
             f"payload has {len(raw)}"
         )
-    return shape, np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(b, h, w)
+    return shape, np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(
+        b, shape.height, shape.width)
 
 
 def save_probability_raster(raster: ProbabilityRaster, path) -> None:

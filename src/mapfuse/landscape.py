@@ -44,6 +44,19 @@ class EdgeTable:
         """Total inter-class edge length E."""
         return int(np.triu(self.e, 1).sum())
 
+    @property
+    def iji(self) -> float:
+        """Map-level IJI in [0, 100]; NaN when m < 3 or there are no edges."""
+        m, total = self.m, self.total
+        if m < 3 or total == 0:
+            return float("nan")
+        idx = np.array(self.present)
+        pairs = self.e[np.ix_(idx, idx)][np.triu_indices(m, 1)]
+        shares = pairs[pairs > 0] / total
+        h = -(shares * np.log(shares)).sum()
+        value = 100.0 * h / math.log(m * (m - 1) / 2.0)
+        return float(np.clip(value, 0.0, 100.0))
+
 
 def edge_table(raster: LabelRaster) -> EdgeTable:
     v = raster.values
@@ -60,26 +73,15 @@ def edge_table(raster: LabelRaster) -> EdgeTable:
 
 
 def iji(raster: LabelRaster) -> float:
-    """Map-level IJI in [0, 100]; NaN when m < 3 or there are no edges."""
-    table = edge_table(raster)
-    m = table.m
-    total = table.total
-    if m < 3 or total == 0:
-        return float("nan")
-    idx = np.array(table.present)
-    pairs = table.e[np.ix_(idx, idx)][np.triu_indices(m, 1)]
-    shares = pairs[pairs > 0] / total
-    h = -(shares * np.log(shares)).sum()
-    value = 100.0 * h / math.log(m * (m - 1) / 2.0)
-    return float(np.clip(value, 0.0, 100.0))
+    """Map-level IJI of a label raster; see ``EdgeTable.iji``."""
+    return edge_table(raster).iji
 
 
 def write_iji_csv(rows, path) -> None:
-    """rows: iterable of (map_id, LabelRaster). NaN serializes as empty."""
+    """rows: iterable of (map_id, EdgeTable). NaN serializes as empty."""
     lines = ["map_id,m,E,iji"]
-    for map_id, raster in rows:
-        table = edge_table(raster)
-        value = iji(raster)
+    for map_id, table in rows:
+        value = table.iji
         cell = "" if math.isnan(value) else repr(value)
         lines.append(f"{map_id},{table.m},{table.total},{cell}")
     with open(path, "w") as fh:

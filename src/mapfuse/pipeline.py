@@ -26,11 +26,11 @@ import numpy as np
 from .accuracy import _fmt, monte_carlo_assess, paired_t_test, write_mc_csv
 from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
-from .fusion import FusionConfig, fuse, fused_label_map
+from .fusion import fuse, fused_label_map
 from .grids import LabelRaster, common_shape, hard_classify
-from .io import (load_label_raster, load_probability_raster, save_label_raster,
-                 save_probability_raster)
-from .landscape import iji, write_iji_csv
+from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
+                 read_header, save_label_raster, save_probability_raster)
+from .landscape import edge_table, write_iji_csv
 from .weights import estimate_weights, save_weights_csv
 
 MODES = ("unweighted", "weighted", "clustered")
@@ -94,9 +94,7 @@ def discover_investigators(input_dir):
     if index.exists():
         doc = json.loads(index.read_text())
         names = doc.get("investigators") if isinstance(doc, dict) else None
-        if not (isinstance(names, list) and all(
-                isinstance(n, str) and n not in ("", "..") and Path(n).name == n
-                for n in names)):
+        if not (isinstance(names, list) and all(map(is_bare_file_name, names))):
             raise ValueError(f"malformed {index}: 'investigators' must be a list "
                              "of file names in that directory")
         return [(n, d / n) for n in names]
@@ -105,8 +103,8 @@ def discover_investigators(input_dir):
         payload = d / sidecar.stem
         if sidecar.name == "index.json" or not payload.exists():
             continue
-        header = json.loads(sidecar.read_text())
-        if (header.get("dtype") == "f32" and header.get("bands", 0) > 1
+        _, header = read_header(payload)
+        if (header["dtype"] == "f32" and header["bands"] > 1
                 and payload.stem not in ("truth", "reference")):
             found.append((payload.stem, payload))
     if not found:
@@ -184,8 +182,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # The weight fit is the longest single task, so it goes onto the pool
     # first and the weighted variant joins on its future; every other
     # variant proceeds underneath it (numpy releases the GIL in the kernels
-    # that dominate both sides).
-    fcfg = FusionConfig()
+    # that dominate both sides). Each task returns its label map's edge
+    # table and Monte Carlo result; the joins below only format them.
 
     with ThreadPoolExecutor(max_workers=min(8, len(plan) + 1)) as pool:
         weights_future = None
@@ -206,20 +204,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 else:
                     subset = [maps[i] for i in cluster_groups[vid]]
                     w = None
-                posterior = fuse(subset, weights=w, config=fcfg)
+                posterior = fuse(subset, weights=w)
                 save_probability_raster(posterior.mean, out / f"{vid}_prob")
                 label = fused_label_map(posterior)
             save_label_raster(label, out / f"{vid}_label")
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
                                     config.per_class_samples, config.seed)
             write_mc_csv(mc, reference.shape.class_names, out / f"{vid}_mc.csv")
-            return vid, label, mc
+            return vid, edge_table(label), mc
 
-        results = {vid: (label, mc)
-                   for vid, label, mc in pool.map(run_variant, plan)}
+        results = {vid: (table, mc)
+                   for vid, table, mc in pool.map(run_variant, plan)}
 
     # ---- joins: IJI, t-tests, summary -----------------------------------
-    write_iji_csv([("reference", reference)]
+    write_iji_csv([("reference", edge_table(reference))]
                   + [(vid, results[vid][0]) for vid in plan],
                   out / "iji.csv")
 
@@ -238,11 +236,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     rows = [",".join(cols)]
     summary = {}
     for vid in plan:
-        label, mc = results[vid]
+        table, mc = results[vid]
         oa = float(np.mean([r.overall for r in mc.per_iteration]))
         ua = np.nanmean([r.users for r in mc.per_iteration], axis=0)
         pa = np.nanmean([r.producers for r in mc.per_iteration], axis=0)
-        j = iji(label)
+        j = table.iji
         summary[vid] = {"oa": oa, "iji": j}
         cells = [vid, repr(oa)] + [_fmt(v) for v in ua] + [_fmt(v) for v in pa] \
             + [_fmt(j)]

@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln, psi
 
-from .fusion import FusionConfig
 from .grids import common_shape
 
 KAPPA_MIN = 1e-3
@@ -85,18 +84,6 @@ class WeightEstimate:
         k.flags.writeable = False
         object.__setattr__(self, "kappa", k)
         object.__setattr__(self, "trace", tuple(self.trace))
-
-
-def dirichlet_log_density(p, alpha) -> float:
-    """log of the Dirichlet density with parameter alpha evaluated at p."""
-    p = np.asarray(p, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if (p <= 0).any():
-        raise ValueError("p must be strictly positive")
-    if (alpha <= 0).any():
-        raise ValueError("alpha must be strictly positive")
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum()
-                 + ((alpha - 1.0) * np.log(p)).sum())
 
 
 def _objective_all(kappa, theta, stats, logp_total, n_pix):
@@ -229,8 +216,7 @@ def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
     return np.where(better, cand, kappa), np.where(better, cand_terms, terms)
 
 
-def estimate_weights(maps, config: FusionConfig | None = None,
-                     subsample: int = 10_000, seed: int = 0) -> WeightEstimate:
+def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEstimate:
     """MAP-fit per-investigator kappa on a seeded pixel subsample.
 
     The seed governs only which pixels enter the objective; the ascent
@@ -241,7 +227,6 @@ def estimate_weights(maps, config: FusionConfig | None = None,
         raise ValueError("need at least two maps to compare investigators")
     if subsample < 100:
         raise ValueError(f"subsample too small: {subsample} < 100")
-    config = config or FusionConfig()
     shape = common_shape(maps)
 
     n_total = shape.n_pixels
@@ -261,9 +246,9 @@ def estimate_weights(maps, config: FusionConfig | None = None,
         return _objective_all(kappa, theta, stats, logp_total, n_pix), stats
 
     kappa = np.ones(n_maps)
-    # start from the posterior mean at unit kappa
-    theta = ((config.prior_alpha + np.einsum("j,jnc->nc", kappa, stack))
-             / (config.prior_alpha * shape.n_classes + kappa.sum()))
+    # start from the flat-prior posterior mean at unit kappa
+    theta = ((1.0 + np.einsum("j,jnc->nc", kappa, stack))
+             / (shape.n_classes + kappa.sum()))
     terms, stats = evaluate(kappa, theta)     # always the terms at (kappa, theta)
     current = float(terms.sum())
     trace = []

@@ -18,7 +18,7 @@ from mapfuse.accuracy import (ConfusionMatrix, accuracy_report,
                               monte_carlo_assess, paired_t_test)
 from mapfuse.clustering import (adjusted_rand_index, entropy_features,
                                 entropy_map, kmeans_cluster, kmedoids_cluster)
-from mapfuse.fusion import FusionConfig, fuse, fused_label_map, regularize
+from mapfuse.fusion import fuse, fused_label_map, regularize
 from mapfuse.grids import GridShape, LabelRaster, ProbabilityRaster, hard_classify
 from mapfuse.io import save_label_raster, save_probability_raster
 from mapfuse.landscape import edge_table, iji
@@ -63,7 +63,6 @@ def one_pixel(vec):
 def test_criterion_1_conjugate_mean_matches_quadrature():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    cfg = FusionConfig()
     worst = 0.0
     for case in range(100):
         n_inv = int(rng.integers(1, 4))
@@ -71,10 +70,9 @@ def test_criterion_1_conjugate_mean_matches_quadrature():
                    for _ in range(n_inv)]
         weighted = case % 2 == 1
         weights = rng.uniform(0.5, 2.0, size=n_inv) if weighted else None
-        post = fuse([one_pixel(v) for v in vectors], weights=weights, config=cfg)
+        post = fuse([one_pixel(v) for v in vectors], weights=weights)
         oracle = grid_posterior_mean(
-            vectors, np.ones(n_inv) if weights is None else weights,
-            cfg.prior_alpha)
+            vectors, np.ones(n_inv) if weights is None else weights, 1.0)
         worst = max(worst, np.abs(post.mean.values[0, 0] - oracle).max())
     elapsed = time.perf_counter() - t0
     verdict(1, worst < 1e-2 and elapsed < 30.0,

@@ -1,4 +1,4 @@
-"""Confusion metrics, stratified Monte Carlo, and the own-rolled t machinery."""
+"""Confusion metrics, stratified Monte Carlo, and the paired t-test."""
 
 import math
 
@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from mapfuse.accuracy import (ConfusionMatrix, accuracy_report,
                               agreement_ratio, confusion, monte_carlo_assess,
                               paired_t_test, pearson_correlation,
-                              regularized_incomplete_beta, stratified_sample,
-                              write_mc_csv)
+                              stratified_sample, write_mc_csv)
 from mapfuse.grids import NODATA, GridShape, LabelRaster
 
 from conftest import make_labels
@@ -101,9 +100,6 @@ def test_stratified_sample_small_class_error_names_class():
     ref = LabelRaster(GridShape(4, 4, 2, ("bg", "rare")), v)
     with pytest.raises(ValueError, match="'rare' has only 1 pixels"):
         stratified_sample(ref, 2, seed=0)
-    # replacement lifts the restriction
-    idx = stratified_sample(ref, 2, seed=0, with_replacement=True)
-    assert len(idx) == 4
 
 
 def test_stratified_sample_skips_absent_classes():
@@ -117,6 +113,17 @@ def test_monte_carlo_perfect_map_and_validation(small_scene):
     assert (mc.overall_series() == 1.0).all()
     with pytest.raises(ValueError, match="n_iterations"):
         monte_carlo_assess(small_scene, small_scene, 0, 20, seed=3)
+
+
+def test_monte_carlo_builds_class_pools_once(small_scene, monkeypatch):
+    """The per-class pixel pools depend only on the reference, so a run
+    scans the reference once per present class, not once per iteration."""
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero",
+                        lambda a: calls.append(1) or flatnonzero(a))
+    monte_carlo_assess(small_scene, small_scene, 7, 20, seed=3)
+    assert len(calls) == len(np.unique(small_scene.values))
 
 
 def test_monte_carlo_pairs_share_sample_pixels(small_scene, small_panel):
@@ -163,21 +170,23 @@ def test_ten_percent_flip_calibration():
 
 # ------------------------------------------------------------ t machinery
 
-def test_incomplete_beta_against_mpmath():
-    mpmath.mp.dps = 40
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = float(rng.uniform(0.2, 20.0))
-        b = float(rng.uniform(0.2, 20.0))
-        x = float(rng.uniform(0.0, 1.0))
-        ref = float(mpmath.betainc(a, b, 0, x, regularized=True))
-        assert regularized_incomplete_beta(a, b, x) == pytest.approx(ref, rel=1e-10, abs=1e-12)
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(-1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
+@pytest.mark.parametrize("df", [1, 4, 99])
+def test_paired_t_p_against_mpmath_grid(df):
+    """p = I_{df/(df+t^2)}(df/2, 1/2) to 1e-12 relative, out to |t| = 230,
+    where the p of a 100-iteration comparison reaches about 1e-136."""
+    mpmath.mp.dps = 60
+    rng = np.random.default_rng(df)
+    n = df + 1
+    for t_target in np.geomspace(0.1, 230.0, 25):
+        # differences whose t statistic is t_target up to rounding
+        d = rng.normal(size=n)
+        d = (d - d.mean()) / d.std(ddof=1) + t_target / math.sqrt(n)
+        t, p, got_df = paired_t_test(d, np.zeros(n))
+        assert got_df == df
+        ref = float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0,
+                                   mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2),
+                                   regularized=True))
+        assert p == pytest.approx(ref, rel=1e-12, abs=0.0), (df, t)
 
 
 def test_paired_t_pinned_example():

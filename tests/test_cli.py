@@ -138,6 +138,21 @@ def test_malformed_header_exits_2(work, capsys, tmp_path):
     assert rc == 2
     assert "positive integers" in capsys.readouterr().err
 
+    # the sidecar scan used when a directory has no index.json reads each
+    # header through the same parser
+    scan = tmp_path / "scan"
+    scan.mkdir()
+    ids = json.loads((work / "data" / "index.json").read_text())["investigators"]
+    for name in (ids[0], ids[0] + ".json", ids[1], ids[1] + ".json"):
+        shutil.copy(work / "data" / name, scan / name)
+    header = json.loads((scan / f"{ids[1]}.json").read_text())
+    header["bands"] = str(header["bands"])
+    (scan / f"{ids[1]}.json").write_text(json.dumps(header))
+    rc = main(["fuse", "-i", str(scan), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed header" in err and str(scan / ids[1]) in err
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 def test_fuse_rejects_non_probability_payload(work, capsys, tmp_path, bad):

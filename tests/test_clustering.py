@@ -1,6 +1,7 @@
 """Entropy features and the hand-rolled k-Means / k-Medoids solvers."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -255,3 +256,20 @@ def test_cluster_model_round_trip(tmp_path):
         assert (back.assignment == model.assignment).all()
         assert (np.asarray(back.centers) == np.asarray(model.centers)).all()
         assert back.inertia == model.inertia
+
+
+@pytest.mark.parametrize("name", ["../outside.bin", "sub/x.centers", "ABSOLUTE"])
+def test_cluster_model_centers_file_stays_in_its_directory(tmp_path, name):
+    f = _features(np.random.default_rng(15).uniform(0, 10, size=(6, 3)))
+    path = tmp_path / "models" / "cluster_kmeans_k2.json"
+    path.parent.mkdir()
+    save_cluster_model(kmeans_cluster(f, 2, seed=1), path)
+    assert load_cluster_model(path).k == 2          # the saved model loads
+    doc = json.loads(path.read_text())
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes((path.parent / doc["centers_file"]).read_bytes())
+    doc["centers_file"] = str(outside) if name == "ABSOLUTE" else name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="centers_file") as info:
+        load_cluster_model(path)
+    assert str(path) in str(info.value)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from mapfuse.fusion import (FusionConfig, PosteriorField, fuse,
-                            fused_label_map, regularize)
+from mapfuse.fusion import PosteriorField, fuse, fused_label_map, regularize
 from mapfuse.grids import GridShape, ProbabilityRaster, hard_classify
 
 from conftest import make_prob, random_prob
@@ -137,17 +136,17 @@ def test_fuse_validation_errors():
 
 
 def test_fusion_config_validation():
-    with pytest.raises(ValueError):
-        FusionConfig(prior_alpha=0.0)
-    with pytest.raises(ValueError):
-        FusionConfig(prior_alpha=np.inf)
-    assert FusionConfig(prior_alpha=0.5).prior_alpha == 0.5
+    maps = [random_prob(np.random.default_rng(8), 1, 1, 3)]
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="prior_alpha must be positive"):
+            fuse(maps, prior_alpha=bad)
+    assert fuse(maps, prior_alpha=0.5).strength == pytest.approx(0.5 * 3 + 1.0)
 
 
 def test_prior_alpha_scales_strength():
     rng = np.random.default_rng(9)
     maps = [random_prob(rng, 1, 1, 4)]
-    post = fuse(maps, config=FusionConfig(prior_alpha=2.5))
+    post = fuse(maps, prior_alpha=2.5)
     assert post.strength == pytest.approx(2.5 * 4 + 1.0)
 
 

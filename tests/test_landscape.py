@@ -149,8 +149,8 @@ def test_growing_a_patch_inward_changes_nothing():
 
 
 def test_write_iji_csv(tmp_path):
-    rows = [("three", make_labels(np.array([[1, 2, 0, 1, 0]]), n_classes=3)),
-            ("flat", make_labels(np.zeros((2, 2), dtype=np.int64), n_classes=3))]
+    rows = [("three", edge_table(make_labels(np.array([[1, 2, 0, 1, 0]]), n_classes=3))),
+            ("flat", edge_table(make_labels(np.zeros((2, 2), dtype=np.int64), n_classes=3)))]
     write_iji_csv(rows, tmp_path / "iji.csv")
     lines = (tmp_path / "iji.csv").read_text().splitlines()
     assert lines[0] == "map_id,m,E,iji"

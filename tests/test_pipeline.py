@@ -133,6 +133,26 @@ def test_manifest_and_outputs(panel_dir, tmp_path):
     assert [r[0] for r in ij[1:]] == ["reference"] + res["variants"]
 
 
+def test_one_edge_table_per_label_map(panel_dir, tmp_path, monkeypatch):
+    """iji.csv and summary.csv read one edge table per variant label map,
+    plus one for the reference."""
+    import sys
+    import mapfuse.landscape
+
+    original = mapfuse.landscape.edge_table
+    calls = []
+
+    def counting(raster):
+        calls.append(raster)
+        return original(raster)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mapfuse") and getattr(mod, "edge_table", None) is original:
+            monkeypatch.setattr(mod, "edge_table", counting)
+    res = run_pipeline(config_for(panel_dir, tmp_path / "run"))
+    assert len(calls) == len(res["variants"]) + 1
+
+
 def test_manifest_keeps_weight_fit_diagnostics(panel_dir, tmp_path):
     run_pipeline(config_for(panel_dir, tmp_path / "w",
                             fusion_modes=("weighted",)))

@@ -2,45 +2,18 @@
 
 import numpy as np
 import pytest
-import scipy.stats
 
-from mapfuse.fusion import FusionConfig, regularize
+from mapfuse.fusion import regularize
 from mapfuse.grids import GridShape, ProbabilityRaster
 from mapfuse.synth import (InvestigatorSpec, SceneSpec, generate_investigator,
                            generate_scene, uniform_kernel)
 import mapfuse.weights
-from mapfuse.weights import (WeightEstimate, dirichlet_log_density,
-                             estimate_weights, load_weights_csv,
-                             save_weights_csv)
+from mapfuse.weights import (WeightEstimate, estimate_weights,
+                             load_weights_csv, save_weights_csv)
 from mapfuse.weights import _theta_kkt  # noqa: internals
 from scipy.special import gammaln, polygamma, psi
 
 from conftest import make_prob, random_prob
-
-
-def test_dirichlet_log_density_pinned():
-    # Beta(2,2) density at 1/2 is 6*x*(1-x) = 1.5
-    val = dirichlet_log_density(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-    assert val == pytest.approx(0.4054651081081644, abs=1e-12)
-
-
-def test_dirichlet_log_density_matches_scipy():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        c = int(rng.integers(2, 6))
-        alpha = rng.uniform(0.5, 5.0, size=c)
-        p = rng.dirichlet(np.full(c, 2.0))
-        p = p / p.sum()
-        ours = dirichlet_log_density(p, alpha)
-        ref = scipy.stats.dirichlet(alpha).logpdf(p / p.sum())
-        assert ours == pytest.approx(ref, rel=1e-9)
-
-
-def test_dirichlet_log_density_rejects_boundary():
-    with pytest.raises(ValueError):
-        dirichlet_log_density(np.array([1.0, 0.0]), np.array([2.0, 2.0]))
-    with pytest.raises(ValueError):
-        dirichlet_log_density(np.array([0.5, 0.5]), np.array([2.0, 0.0]))
 
 
 def _panel(noise_levels, seed=20, size=32, softness=10.0):
@@ -98,15 +71,14 @@ def _theta_newton(theta, kappa, lin, theta_obj, max_iter=30):
     return theta, value
 
 
-def _theta_problem(maps, kappa, config=None):
+def _theta_problem(maps, kappa):
     """The theta block at fixed kappa on all pixels: start, lin, objective."""
-    config = config or FusionConfig()
     shape = maps[0].shape
     stack = np.stack([m.values.reshape(shape.n_pixels, shape.n_classes)
                       for m in maps])
     logp = np.log(stack)
-    ev = config.prior_alpha + np.einsum("j,jnc->nc", kappa, stack)
-    theta = ev / (config.prior_alpha * shape.n_classes + kappa.sum())
+    ev = 1.0 + np.einsum("j,jnc->nc", kappa, stack)
+    theta = ev / (shape.n_classes + kappa.sum())
     lin = np.einsum("j,jnc->nc", kappa, logp)
 
     def theta_obj(t):
@@ -116,9 +88,9 @@ def _theta_problem(maps, kappa, config=None):
     return theta, lin, theta_obj, logp
 
 
-def _converged_theta(maps, kappa, config=None):
+def _converged_theta(maps, kappa):
     """Rebuild the latent consensus at the returned kappa (all pixels)."""
-    theta, lin, theta_obj, logp = _theta_problem(maps, kappa, config)
+    theta, lin, theta_obj, logp = _theta_problem(maps, kappa)
     theta, _ = _theta_newton(theta, kappa, lin, theta_obj)
     return theta, logp
 
