@@ -60,7 +60,9 @@ class EntropyFeatureMatrix:
 
 def entropy_features(maps) -> EntropyFeatureMatrix:
     shape = common_shape(maps)
-    rows = np.stack([entropy_map(m).values.ravel() for m in maps])
+    rows = np.empty((len(maps), shape.n_pixels))     # filled in place: one copy
+    for j, m in enumerate(maps):
+        rows[j] = entropy_map(m).values.ravel()
     return EntropyFeatureMatrix(rows=rows, max_entropy=float(np.log2(shape.n_classes)))
 
 
@@ -131,7 +133,9 @@ def _lloyd(x: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
                 d2[far] = 0
         for c in range(k):
             centers[c] = x[new_assign == c].mean(axis=0)
-        inertia = float(((x - centers[new_assign]) ** 2).sum())
+        resid = centers[new_assign]       # one (J, F) buffer, squared in place
+        inertia = float(np.square(np.subtract(x, resid, out=resid), out=resid).sum())
+        del resid                         # so the next pass never holds two
         if not inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia):
             raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
         prev_inertia = inertia

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import regularize
+from .fusion import DEFAULT_EPSILON
 from .grids import NODATA, EntropyRaster, GridShape, LabelRaster, ProbabilityRaster
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
@@ -117,13 +117,16 @@ def load_probability_raster(path) -> ProbabilityRaster:
 
     Zero components are replaced by a tiny epsilon and every pixel vector
     is renormalized to sum to one, so downstream Dirichlet math never sees
-    a zero probability. NaN, Inf or negative samples are rejected.
+    a zero probability. NaN, Inf or negative samples fail ProbabilityRaster's
+    one check; dividing by |sum| keeps even an all-negative pixel negative.
     """
     shape, data = _read_pair(path, "f32", None)
     values = np.moveaxis(data, 0, 2).astype(np.float64)
+    values[values == 0.0] = DEFAULT_EPSILON
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values /= np.abs(values.sum(axis=2, keepdims=True))
     try:
-        with np.errstate(invalid="ignore"):      # ProbabilityRaster rejects NaN/Inf
-            return ProbabilityRaster(shape, regularize(values))
+        return ProbabilityRaster(shape, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -1,12 +1,12 @@
 """End-to-end orchestration: load maps, fuse every requested way, assess.
 
-A run plans its variants up front — a plurality-vote baseline, plain
-unweighted fusion, confidence-weighted fusion, and one variant per
-cluster group per method per k — writes a manifest of the outputs it
-intends to produce, then fills it in. Variants are independent pure
-tasks (they share only read-only inputs) and run on a thread pool;
-everything derived from randomness is seeded, so re-running a config
-reproduces every CSV byte for byte.
+A run plans its variants — a plurality-vote baseline, plain unweighted
+fusion, confidence-weighted fusion, and one variant per cluster group per
+method per k — and writes a manifest of the outputs it intends to produce.
+The kappa fit starts on a thread pool before the clustering that plans the
+groups; then one task per distinct set of fused maps writes its outputs
+under every variant id naming that set. Everything derived from randomness
+is seeded, so re-running a config reproduces every CSV byte for byte.
 
 The baseline deserves a caveat: it is the per-pixel plurality label
 across investigator hard maps, a fusion-free composite standing in for a
@@ -17,6 +17,7 @@ output to avoid implying more.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,77 +145,95 @@ def run_pipeline(config: PipelineConfig) -> dict:
             if k > n_maps:
                 raise ValueError(f"k={k} exceeds the {n_maps} investigator maps")
 
-    # ---- plan ----------------------------------------------------------
-    plan = [BASELINE]
-    if "unweighted" in config.fusion_modes:
-        plan.append("unweighted")
-    if "weighted" in config.fusion_modes:
-        plan.append("weighted")
-    cluster_groups = {}        # variant id -> list of map indices
-    if "clustered" in config.fusion_modes:
-        feats = entropy_features(maps)
-        for method in config.methods:
-            fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
-            for k in config.k_values:
-                model = fit(feats, k, config.seed)
-                save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
-                for g in range(k):
-                    vid = f"{method}-k{k}g{g + 1}"
-                    plan.append(vid)
-                    cluster_groups[vid] = np.flatnonzero(model.assignment == g)
-
-    def variant_files(vid):
-        files = [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"]
-        if vid != BASELINE:
-            files = [f"{vid}_prob", f"{vid}_prob.json"] + files
-        return files
-
-    manifest = {
-        "config": {f: getattr(config, f) for f in PipelineConfig.__dataclass_fields__},
-        "variants": [{"id": v, "files": variant_files(v), "status": "planned"}
-                     for v in plan],
-        "tables": ["summary.csv", "iji.csv", "ttests.csv"],
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
-
-    # ---- per-variant work ----------------------------------------------
-    # The weight fit is the longest single task, so it goes onto the pool
-    # first and the weighted variant joins on its future; every other
-    # variant proceeds underneath it (numpy releases the GIL in the kernels
-    # that dominate both sides). Each task returns its label map's edge
-    # table and Monte Carlo result; the joins below only format them.
-
-    with ThreadPoolExecutor(max_workers=min(8, len(plan) + 1)) as pool:
-        weights_future = None
+    # ---- plan and execute ---------------------------------------------
+    # The kappa fit is the longest task, so it goes onto the pool first and
+    # the clustering runs underneath it (numpy releases the GIL in both).
+    # Variants are keyed by what they fuse (the baseline, all maps with
+    # kappa, or sorted member indices); one task per key fuses, scores and
+    # builds the edge table once and writes the same bytes under each id.
+    # Beyond the fit and the weighted task's wait, threads past the core
+    # count add allocator arenas (peak RSS), not speed.
+    with ThreadPoolExecutor(max_workers=min(8, (os.cpu_count() or 1) + 2)) as pool:
+        weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
+                          if "weighted" in config.fusion_modes else None)
+        everyone = tuple(range(n_maps))
+        key_of = {BASELINE: BASELINE}
+        if "unweighted" in config.fusion_modes:
+            key_of["unweighted"] = everyone
         if "weighted" in config.fusion_modes:
-            weights_future = pool.submit(estimate_weights, maps,
-                                         seed=config.seed)
+            key_of["weighted"] = "weighted"
+        if "clustered" in config.fusion_modes:
+            feats = entropy_features(maps)
+            for method in config.methods:
+                fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
+                for k in config.k_values:
+                    model = fit(feats, k, config.seed)
+                    save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
+                    for g in range(k):
+                        key_of[f"{method}-k{k}g{g + 1}"] = tuple(
+                            np.flatnonzero(model.assignment == g).tolist())
+        plan = list(key_of)
+        ids_of = {}            # key -> variant ids in plan order
+        for vid in plan:
+            ids_of.setdefault(key_of[vid], []).append(vid)
 
-        def run_variant(vid):
-            if vid == BASELINE:
+        def entry(vid):
+            key = key_of[vid]
+            files = [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"]
+            if vid != BASELINE:
+                files = [f"{vid}_prob", f"{vid}_prob.json"] + files
+            members = everyone if isinstance(key, str) else key
+            return {"id": vid, "files": files, "status": "planned",
+                    "members": [ids[i] for i in members],
+                    "set_id": ids_of[key][0]}
+
+        manifest = {
+            "config": {f: getattr(config, f)
+                       for f in PipelineConfig.__dataclass_fields__},
+            "variants": [entry(v) for v in plan],
+            "tables": ["summary.csv", "iji.csv", "ttests.csv"],
+        }
+        manifest_path = out / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
+
+        def run_set(key):
+            prob = None
+            if key == BASELINE:
                 label = plurality_baseline(maps)
             else:
-                if vid == "unweighted":
-                    subset, w = maps, None
-                elif vid == "weighted":
+                if key == "weighted":
                     est = weights_future.result()
                     save_weights_csv(est, out / "weights.csv", ids=ids)
-                    subset, w = maps, est.kappa
+                    posterior = fuse(maps, weights=est.kappa)
                 else:
-                    subset = [maps[i] for i in cluster_groups[vid]]
-                    w = None
-                posterior = fuse(subset, weights=w)
-                save_probability_raster(posterior.mean, out / f"{vid}_prob")
-                label = fused_label_map(posterior)
-            save_label_raster(label, out / f"{vid}_label")
+                    posterior = fuse([maps[i] for i in key])
+                prob, label = posterior.mean, fused_label_map(posterior)
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
                                     config.per_class_samples, config.seed)
-            write_mc_csv(mc, reference.shape.class_names, out / f"{vid}_mc.csv")
-            return vid, edge_table(label), mc
+            for vid in ids_of[key]:
+                if prob is not None:
+                    save_probability_raster(prob, out / f"{vid}_prob")
+                save_label_raster(label, out / f"{vid}_label")
+                write_mc_csv(mc, reference.shape.class_names,
+                             out / f"{vid}_mc.csv")
+            return edge_table(label), mc
 
-        results = {vid: (table, mc)
-                   for vid, table, mc in pool.map(run_variant, plan)}
+        # stable sort: the weighted task first, the rest in plan order
+        futures = {key: pool.submit(run_set, key)
+                   for key in sorted(ids_of, key=lambda k: k != "weighted")}
+
+    # a failed set fails every id that names it; the rest are written out
+    errors = {key: f.exception() for key, f in futures.items()}
+    for e in manifest["variants"]:
+        exc = errors[key_of[e["id"]]]
+        e["status"] = "failed" if exc else "done"
+        if exc:
+            e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
+    failure = next(filter(None, errors.values()), None)
+    if failure:
+        manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
+        raise failure
+    results = {vid: futures[key_of[vid]].result() for vid in plan}
 
     # ---- joins: IJI, t-tests, summary -----------------------------------
     write_iji_csv([("reference", edge_table(reference))]
@@ -247,8 +266,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         rows.append(",".join(cells))
     (out / "summary.csv").write_text("\n".join(rows) + "\n")
 
-    for entry in manifest["variants"]:
-        entry["status"] = "done"
     if weights_future is not None:
         # the fit's diagnostics live here, never in a CSV
         est = weights_future.result()

@@ -182,12 +182,17 @@ def test_header_fields_are_strict(tmp_path, key, value):
     assert str(tmp_path / "m") in str(info.value)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25])
-def test_probability_loader_rejects_non_probabilities(tmp_path, bad):
+@pytest.mark.parametrize("cells", [
+    pytest.param({5: np.nan}, id="nan"), pytest.param({5: np.inf}, id="inf"),
+    pytest.param({5: -np.inf}, id="-inf"), pytest.param({5: -0.25}, id="-0.25"),
+    # pixel 1 of each band: renormalising by its sum would make it valid
+    pytest.param({1: -0.2, 5: -0.3, 9: -0.5}, id="all-negative-pixel"),
+])
+def test_probability_loader_rejects_non_probabilities(tmp_path, cells):
     save_probability_raster(random_prob(np.random.default_rng(3), 2, 2, 3),
                             tmp_path / "p")
     raw = np.frombuffer((tmp_path / "p").read_bytes(), dtype="<f4").copy()
-    raw[5] = bad
+    raw[list(cells)] = list(cells.values())
     (tmp_path / "p").write_bytes(raw.tobytes())
     with pytest.raises(ValueError, match="NaN or Inf|negative") as info:
         load_probability_raster(tmp_path / "p")

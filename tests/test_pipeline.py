@@ -2,11 +2,16 @@
 
 import csv
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mapfuse.pipeline
+from mapfuse.clustering import load_cluster_model
+from mapfuse.fusion import fuse, fused_label_map
 from mapfuse.grids import GridShape, LabelRaster
 from mapfuse.io import (load_probability_raster, save_label_raster,
                         save_probability_raster)
@@ -133,8 +138,28 @@ def test_manifest_and_outputs(panel_dir, tmp_path):
     assert [r[0] for r in ij[1:]] == ["reference"] + res["variants"]
 
 
+def shared_config(panel_dir, out_dir):
+    """Both methods at k=2 and 3: on this panel 13 variants fuse 7 sets."""
+    return config_for(panel_dir, out_dir, methods=("kmeans", "kmedoids"),
+                      k_values=(2, 3))
+
+
+def distinct_sets(out, variants):
+    """Variant id -> what it fuses, rebuilt from the saved cluster models."""
+    key = {"plurality-baseline": "baseline", "weighted": "weighted",
+           "unweighted": None}
+    for vid in variants:
+        if "-k" in vid:
+            method, rest = vid.split("-k")
+            k, g = map(int, rest.split("g"))
+            model = load_cluster_model(out / f"cluster_{method}_k{k}.json")
+            members = tuple(np.flatnonzero(model.assignment == g - 1))
+            key[vid] = None if len(members) == len(model.assignment) else members
+    return key
+
+
 def test_one_edge_table_per_label_map(panel_dir, tmp_path, monkeypatch):
-    """iji.csv and summary.csv read one edge table per variant label map,
+    """iji.csv and summary.csv read one edge table per distinct member set,
     plus one for the reference."""
     import sys
     import mapfuse.landscape
@@ -149,8 +174,97 @@ def test_one_edge_table_per_label_map(panel_dir, tmp_path, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("mapfuse") and getattr(mod, "edge_table", None) is original:
             monkeypatch.setattr(mod, "edge_table", counting)
-    res = run_pipeline(config_for(panel_dir, tmp_path / "run"))
-    assert len(calls) == len(res["variants"]) + 1
+    out = tmp_path / "run"
+    res = run_pipeline(shared_config(panel_dir, out))
+    n_sets = len(set(distinct_sets(out, res["variants"]).values()))
+    assert n_sets < len(res["variants"])
+    assert len(calls) == n_sets + 1
+
+
+def test_each_distinct_set_is_fused_and_scored_once(panel_dir, tmp_path,
+                                                    monkeypatch):
+    calls = {"fuse": 0, "monte_carlo_assess": 0}
+    for name in calls:
+        original = getattr(mapfuse.pipeline, name)
+
+        def counting(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(mapfuse.pipeline, name, counting)
+    out = tmp_path / "run"
+    res = run_pipeline(shared_config(panel_dir, out))
+    key = distinct_sets(out, res["variants"])
+    sets = set(key.values())
+    assert len(sets) == 7 and len(res["variants"]) == 13
+    # the baseline fuses nothing; every other set is fused once
+    assert calls == {"fuse": len(sets) - 1, "monte_carlo_assess": len(sets)}
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    ids = [n for n, _ in discover_investigators(panel_dir)]
+    for entry in manifest["variants"]:
+        vid, first = entry["id"], entry["set_id"]
+        members = key[vid] if isinstance(key[vid], tuple) else range(len(ids))
+        assert entry["members"] == [ids[i] for i in members]
+        # set_id names the first variant in plan order with the same set
+        assert first == next(v for v in res["variants"] if key[v] == key[vid])
+        for suffix in ("_prob", "_prob.json", "_label", "_label.json", "_mc.csv"):
+            if (out / f"{first}{suffix}").exists():
+                assert ((out / f"{vid}{suffix}").read_bytes()
+                        == (out / f"{first}{suffix}").read_bytes()), vid + suffix
+
+
+def test_failed_set_marks_each_of_its_ids(panel_dir, tmp_path, monkeypatch):
+    maps = [load_probability_raster(p)
+            for _, p in discover_investigators(panel_dir)]
+    target = fused_label_map(fuse(maps[:2])).values
+    original = mapfuse.pipeline.monte_carlo_assess
+
+    def failing(label, *args, **kw):
+        if np.array_equal(label.values, target):
+            raise RuntimeError("sampler broke\nsecond line")
+        return original(label, *args, **kw)
+
+    monkeypatch.setattr(mapfuse.pipeline, "monte_carlo_assess", failing)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="sampler broke"):
+        run_pipeline(shared_config(panel_dir, out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    shared = {e["id"] for e in manifest["variants"]
+              if e["members"] == ["g0inv00", "g0inv01"]}
+    assert len(shared) == 4
+    for entry in manifest["variants"]:
+        if entry["id"] in shared:
+            assert entry["status"] == "failed"
+            assert entry["error"] == "sampler broke"
+        else:
+            assert entry["status"] == "done" and "error" not in entry
+    assert not (out / "summary.csv").exists()
+
+
+def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
+    fit, fit_started = mapfuse.pipeline.estimate_weights, threading.Event()
+
+    def slow_fit(*args, **kw):
+        fit_started.set()
+        time.sleep(0.5)      # still running when the prefix fails
+        return fit(*args, **kw)
+
+    def broken_kmeans(*args, **kw):
+        fit_started.wait(10)   # the fit is submitted before the clustering
+        raise RuntimeError("kmeans broke")
+
+    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", slow_fit)
+    monkeypatch.setattr(mapfuse.pipeline, "kmeans_cluster", broken_kmeans)
+    before = set(threading.enumerate())
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="kmeans broke"):
+        run_pipeline(config_for(panel_dir, out))
+    assert fit_started.is_set()
+    assert [t for t in threading.enumerate() if t not in before] == []
+    if (out / "manifest.json").exists():
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all(e["status"] != "done" for e in manifest["variants"])
 
 
 def test_manifest_keeps_weight_fit_diagnostics(panel_dir, tmp_path):
