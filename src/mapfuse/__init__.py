@@ -8,9 +8,8 @@ interspersion index) needed to judge the result.
 """
 
 from .accuracy import (AccuracyReport, ConfusionMatrix, MonteCarloResult,
-                       accuracy_report, agreement_ratio, confusion,
-                       monte_carlo_assess, paired_t_test, pearson_correlation,
-                       stratified_sample)
+                       accuracy_report, confusion, monte_carlo_assess,
+                       paired_t_test, stratified_samples)
 from .clustering import (ClusterModel, EntropyFeatureMatrix, adjusted_rand_index,
                          entropy_features, entropy_map, kmeans_cluster,
                          kmedoids_cluster)

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .grids import NODATA, LabelRaster, _freeze
+from .io import write_csv
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,17 @@ class AccuracyReport:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    n_iterations: int
-    per_iteration: tuple      # of AccuracyReport
-    per_class_sample_size: int
-    seed: int
+    overall: np.ndarray       # (n,) OA of each iteration
+    users: np.ndarray         # (n, C) NaN where iteration i never predicted the class
+    producers: np.ndarray     # (n, C) NaN where the class is absent from the reference
 
     def __post_init__(self):
-        object.__setattr__(self, "per_iteration", tuple(self.per_iteration))
-        if len(self.per_iteration) != self.n_iterations:
-            raise ValueError("report count != n_iterations")
+        for name in ("overall", "users", "producers"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), np.float64)))
 
-    def overall_series(self) -> np.ndarray:
-        return np.array([r.overall for r in self.per_iteration])
+    @property
+    def n_iterations(self) -> int:
+        return self.overall.size
 
 
 def confusion(pred: LabelRaster, ref: LabelRaster, sample_indices=None) -> ConfusionMatrix:
@@ -96,23 +96,31 @@ def confusion(pred: LabelRaster, ref: LabelRaster, sample_indices=None) -> Confu
     return ConfusionMatrix(counts, pred.shape.class_names)
 
 
-def accuracy_report(cm: ConfusionMatrix) -> AccuracyReport:
-    c = cm.counts.astype(np.float64)
-    diag = np.diag(c)
-    rows = c.sum(axis=1)
-    cols = c.sum(axis=0)
+def _rates(counts: np.ndarray):
+    """(overall, users, producers) of confusion counts over the last two axes."""
+    c = counts.astype(np.float64)
+    diag = np.diagonal(c, axis1=-2, axis2=-1)
+    rows = c.sum(axis=-1)
+    cols = c.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         users = np.where(rows > 0, diag / rows, np.nan)
         producers = np.where(cols > 0, diag / cols, np.nan)
-    return AccuracyReport(overall=float(diag.sum() / c.sum()),
-                          users=users, producers=producers)
+    return diag.sum(axis=-1) / c.sum(axis=(-2, -1)), users, producers
 
 
-def _class_pools(ref: LabelRaster, per_class: int) -> list:
-    """Pixel indices of every class present in ref, in ascending class order.
+def accuracy_report(cm: ConfusionMatrix) -> AccuracyReport:
+    overall, users, producers = _rates(cm.counts)
+    return AccuracyReport(overall=float(overall), users=users, producers=producers)
 
-    Raises if some present class has fewer than per_class pixels.
-    """
+
+def stratified_samples(ref: LabelRaster, n_iterations: int, per_class: int,
+                       seed: int) -> np.ndarray:
+    """(n_iterations, S) pixel indices: row i draws per_class pixels from each
+    class present in ref, in ascending class order, from ``default_rng(seed + i)``.
+    The class pools are built once. Raises if a present class has fewer than
+    per_class pixels."""
+    if n_iterations < 1:
+        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
     flat = ref.values.ravel()
@@ -128,36 +136,29 @@ def _class_pools(ref: LabelRaster, per_class: int) -> list:
         pools.append(pool)
     if not pools:
         raise ValueError("reference contains no valid pixels")
-    return pools
-
-
-def _draw(pools, per_class: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.concatenate([rng.choice(pool, size=per_class, replace=False)
-                           for pool in pools])
-
-
-def stratified_sample(ref: LabelRaster, per_class: int, seed: int) -> np.ndarray:
-    """Draw per_class pixel indices from each class present in ref.
-
-    Classes are visited in ascending index order from a single seeded
-    stream, so the draw is deterministic. Raises if some present class
-    has fewer than per_class pixels.
-    """
-    return _draw(_class_pools(ref, per_class), per_class, seed)
+    rows = []
+    for i in range(n_iterations):
+        rng = np.random.default_rng(seed + i)
+        rows.append(np.concatenate([rng.choice(pool, size=per_class, replace=False)
+                                    for pool in pools]))
+    return np.stack(rows)
 
 
 def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
                        per_class: int, seed: int) -> MonteCarloResult:
-    """Iteration i scores pred on ``stratified_sample(ref, per_class, seed + i)``;
-    the class pools are built once and shared by every iteration."""
-    if n_iterations < 1:
-        raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    pools = _class_pools(ref, per_class)
-    reports = [accuracy_report(confusion(pred, ref, _draw(pools, per_class, seed + i)))
-               for i in range(n_iterations)]
-    return MonteCarloResult(n_iterations=n_iterations, per_iteration=reports,
-                            per_class_sample_size=per_class, seed=seed)
+    """Iteration i scores pred on row i of ``stratified_samples``, all rows
+    counted in one (n, C, C) confusion cube that skips NODATA predictions
+    (the sampled reference pixels are never NODATA)."""
+    if pred.shape != ref.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} != {ref.shape}")
+    idx = stratified_samples(ref, n_iterations, per_class, seed)
+    p, r = pred.values.ravel()[idx], ref.values.ravel()[idx]
+    n = ref.shape.n_classes
+    cell = (np.arange(n_iterations)[:, None] * n + p) * n + r   # int64, not u8
+    counts = np.bincount(cell[p != NODATA], minlength=n_iterations * n * n).reshape(-1, n, n)
+    if not counts.any(axis=(1, 2)).all():
+        raise ValueError("no valid pixels in sample")
+    return MonteCarloResult(*_rates(counts))
 
 
 def paired_t_test(a, b) -> tuple[float, float, int]:
@@ -183,46 +184,9 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     return t, p, df
 
 
-def agreement_ratio(samples, ref: LabelRaster) -> float:
-    """Fraction of (row, col, label) points whose label matches ref there."""
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    hits = 0
-    for row, col, label in samples:
-        if not (0 <= row < ref.shape.height and 0 <= col < ref.shape.width):
-            raise ValueError(f"sample ({row}, {col}) outside the grid")
-        hits += int(ref.values[row, col]) == int(label)
-    return hits / len(samples)
-
-
-def pearson_correlation(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("length mismatch")
-    if x.size < 3:
-        raise ValueError("need at least three points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt((dx * dx).sum())
-    sy = math.sqrt((dy * dy).sum())
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("zero variance")
-    return float((dx * dy).sum() / (sx * sy))
-
-
-def _fmt(v: float) -> str:
-    return "" if np.isnan(v) else repr(float(v))
-
-
 def write_mc_csv(result: MonteCarloResult, class_names, path) -> None:
     """One row per iteration: iter,oa,ua_<class>...,pa_<class>... (NaN -> empty)."""
-    cols = ["iter", "oa"]
-    cols += [f"ua_{n}" for n in class_names] + [f"pa_{n}" for n in class_names]
-    lines = [",".join(cols)]
-    for i, rep in enumerate(result.per_iteration):
-        cells = [str(i), _fmt(rep.overall)]
-        cells += [_fmt(v) for v in rep.users] + [_fmt(v) for v in rep.producers]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["iter", "oa"] + [f"ua_{n}" for n in class_names] \
+        + [f"pa_{n}" for n in class_names]
+    rows = zip(range(result.n_iterations), result.overall, result.users, result.producers)
+    write_csv(path, header, ([i, oa, *ua, *pa] for i, oa, ua, pa in rows))

@@ -140,7 +140,7 @@ def _cmd_assess(args) -> int:
         print(f"  {name}: UA={full.users[c]:.6f} PA={full.producers[c]:.6f}")
     if args.mc is not None:
         mc = monte_carlo_assess(pred, ref, args.mc, args.per_class, args.seed)
-        oa = mc.overall_series()
+        oa = mc.overall
         print(f"Monte Carlo ({args.mc} iterations, {args.per_class}/class, "
               f"seed {args.seed}): OA {oa.mean():.6f} +/- {oa.std(ddof=1):.6f}")
     return 0

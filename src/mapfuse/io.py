@@ -16,6 +16,8 @@ size; in-memory computation is always float64.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,34 @@ _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 def is_bare_file_name(name) -> bool:
     """True for a file name with no directory part ("x", not "../x" or "a/x")."""
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` via a temporary file beside it, named by
+    the OS thread id, so a crash never leaves part of a file; the temporary
+    file is removed if the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{threading.get_native_id()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return "" if np.isnan(v) else repr(float(v))
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table, one line per row and a trailing newline. The one cell
+    format: a Python or NumPy float is ``repr(float(v))``, NaN an empty cell,
+    any other cell ``str(v)``."""
+    lines = [",".join(map(_cell, row)) for row in (header, *rows)]
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _header_path(path) -> Path:

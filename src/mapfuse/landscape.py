@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import NODATA, LabelRaster, _freeze
+from .io import write_csv
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,5 @@ def iji(raster: LabelRaster) -> float:
 
 def write_iji_csv(rows, path) -> None:
     """rows: iterable of (map_id, EdgeTable). NaN serializes as empty."""
-    lines = ["map_id,m,E,iji"]
-    for map_id, table in rows:
-        value = table.iji
-        cell = "" if math.isnan(value) else repr(value)
-        lines.append(f"{map_id},{table.m},{table.total},{cell}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ["map_id", "m", "E", "iji"],
+              ([map_id, t.m, t.total, t.iji] for map_id, t in rows))

@@ -24,13 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .accuracy import _fmt, monte_carlo_assess, paired_t_test, write_mc_csv
+from .accuracy import monte_carlo_assess, paired_t_test, write_mc_csv
 from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
 from .grids import LabelRaster, common_shape, hard_classify
 from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
-                 read_header, save_label_raster, save_probability_raster)
+                 read_header, save_label_raster, save_probability_raster, write_csv,
+                 write_text_atomic)
 from .landscape import edge_table, write_iji_csv
 from .weights import estimate_weights, save_weights_csv
 
@@ -194,7 +195,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "tables": ["summary.csv", "iji.csv", "ttests.csv"],
         }
         manifest_path = out / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
 
         def run_set(key):
             prob = None
@@ -231,7 +232,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
     failure = next(filter(None, errors.values()), None)
     if failure:
-        manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
+        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
         raise failure
     results = {vid: futures[key_of[vid]].result() for vid in plan}
 
@@ -240,31 +241,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
                   + [(vid, results[vid][0]) for vid in plan],
                   out / "iji.csv")
 
-    base_oa = results[BASELINE][1].overall_series()
-    tt_lines = ["variant,baseline,t,p,df"]
-    for vid in plan:
-        if vid == BASELINE:
-            continue
-        t, p, df = paired_t_test(results[vid][1].overall_series(), base_oa)
-        tt_lines.append(f"{vid},{BASELINE},{repr(t)},{repr(p)},{df}")
-    (out / "ttests.csv").write_text("\n".join(tt_lines) + "\n")
+    base_oa = results[BASELINE][1].overall
+    write_csv(out / "ttests.csv", ["variant", "baseline", "t", "p", "df"],
+              ([vid, BASELINE, *paired_t_test(results[vid][1].overall, base_oa)]
+               for vid in plan if vid != BASELINE))
 
     names = reference.shape.class_names
-    cols = ["variant", "oa"] + [f"ua_{n}" for n in names] \
-        + [f"pa_{n}" for n in names] + ["iji"]
-    rows = [",".join(cols)]
-    summary = {}
-    for vid in plan:
-        table, mc = results[vid]
-        oa = float(np.mean([r.overall for r in mc.per_iteration]))
-        ua = np.nanmean([r.users for r in mc.per_iteration], axis=0)
-        pa = np.nanmean([r.producers for r in mc.per_iteration], axis=0)
-        j = table.iji
-        summary[vid] = {"oa": oa, "iji": j}
-        cells = [vid, repr(oa)] + [_fmt(v) for v in ua] + [_fmt(v) for v in pa] \
-            + [_fmt(j)]
-        rows.append(",".join(cells))
-    (out / "summary.csv").write_text("\n".join(rows) + "\n")
+    summary = {vid: {"oa": float(mc.overall.mean()), "iji": table.iji}
+               for vid, (table, mc) in results.items()}
+    write_csv(out / "summary.csv",
+              ["variant", "oa"] + [f"ua_{n}" for n in names]
+              + [f"pa_{n}" for n in names] + ["iji"],
+              ([vid, summary[vid]["oa"], *np.nanmean(mc.users, axis=0),
+                *np.nanmean(mc.producers, axis=0), summary[vid]["iji"]]
+               for vid, (_, mc) in results.items()))
 
     if weights_future is not None:
         # the fit's diagnostics live here, never in a CSV
@@ -273,6 +263,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                "converged": est.converged,
                                "log_posterior": est.log_posterior,
                                "trace": list(est.trace)}
-    manifest_path.write_text(json.dumps(manifest, indent=2, default=str))
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
     return {"output_dir": str(out), "variants": plan, "summary": summary,
             "manifest": str(manifest_path)}

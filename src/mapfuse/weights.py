@@ -40,6 +40,7 @@ import numpy as np
 from scipy.special import gammaln, psi
 
 from .grids import common_shape
+from .io import write_csv
 
 KAPPA_MIN = 1e-3
 KAPPA_MAX = 1e3
@@ -285,9 +286,8 @@ def save_weights_csv(estimate: WeightEstimate, path, ids=None) -> None:
     ids = ids if ids is not None else [f"inv{j}" for j in range(len(estimate.kappa))]
     if len(ids) != len(estimate.kappa):
         raise ValueError("one id per investigator required")
-    lines = ["investigator_id,kappa"]
-    lines += [f"{i},{k:.17g}" for i, k in zip(ids, estimate.kappa)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["investigator_id", "kappa"],
+              ([i, f"{k:.17g}"] for i, k in zip(ids, estimate.kappa)))
 
 
 def load_weights_csv(path) -> tuple[list, np.ndarray]:

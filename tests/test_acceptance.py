@@ -250,7 +250,7 @@ def test_criterion_8_monte_carlo_calibration():
     mc = monte_carlo_assess(LabelRaster(shape, pred_values),
                             LabelRaster(shape, ref_values),
                             n_iterations=100, per_class=300, seed=5)
-    mean_oa = float(mc.overall_series().mean())
+    mean_oa = float(mc.overall.mean())
     verdict(8, abs(mean_oa - 0.90) <= 0.02,
             f"mean OA over 100 stratified iterations = {mean_oa:.4f} "
             f"(want 0.90 +/- 0.02)")

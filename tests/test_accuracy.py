@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfuse.accuracy import (ConfusionMatrix, accuracy_report,
-                              agreement_ratio, confusion, monte_carlo_assess,
-                              paired_t_test, pearson_correlation,
-                              stratified_sample, write_mc_csv)
+from mapfuse.accuracy import (ConfusionMatrix, accuracy_report, confusion,
+                              monte_carlo_assess, paired_t_test,
+                              stratified_samples, write_mc_csv)
 from mapfuse.grids import NODATA, GridShape, LabelRaster
 
 from conftest import make_labels
@@ -86,12 +85,12 @@ def test_oa_identities_on_random_matrices():
 
 def test_stratified_sample_is_balanced_and_seeded():
     ref = make_labels(np.repeat(np.arange(3), 12).reshape(6, 6), n_classes=3)
-    idx = stratified_sample(ref, 5, seed=1)
+    idx = stratified_samples(ref, 1, 5, seed=1)[0]
     assert len(idx) == 15
     labels = ref.values.ravel()[idx]
     assert (np.bincount(labels, minlength=3) == 5).all()
-    assert (idx == stratified_sample(ref, 5, seed=1)).all()
-    assert not np.array_equal(idx, stratified_sample(ref, 5, seed=2))
+    assert (idx == stratified_samples(ref, 1, 5, seed=1)[0]).all()
+    assert not np.array_equal(idx, stratified_samples(ref, 1, 5, seed=2)[0])
 
 
 def test_stratified_sample_small_class_error_names_class():
@@ -99,20 +98,26 @@ def test_stratified_sample_small_class_error_names_class():
     v[0, 0] = 1
     ref = LabelRaster(GridShape(4, 4, 2, ("bg", "rare")), v)
     with pytest.raises(ValueError, match="'rare' has only 1 pixels"):
-        stratified_sample(ref, 2, seed=0)
+        stratified_samples(ref, 1, 2, seed=0)
 
 
 def test_stratified_sample_skips_absent_classes():
     ref = make_labels(np.zeros((4, 4), dtype=np.int64), n_classes=3)
-    idx = stratified_sample(ref, 3, seed=0)
+    idx = stratified_samples(ref, 1, 3, seed=0)[0]
     assert len(idx) == 3                       # only class 0 is present
 
 
 def test_monte_carlo_perfect_map_and_validation(small_scene):
     mc = monte_carlo_assess(small_scene, small_scene, 5, 20, seed=3)
-    assert (mc.overall_series() == 1.0).all()
+    assert (mc.overall == 1.0).all()
     with pytest.raises(ValueError, match="n_iterations"):
         monte_carlo_assess(small_scene, small_scene, 0, 20, seed=3)
+    all_nodata = make_labels(np.full((48, 48), NODATA, dtype=np.int64), n_classes=4)
+    with pytest.raises(ValueError, match="no valid pixels in sample"):
+        monte_carlo_assess(all_nodata, small_scene, 5, 20, seed=3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        monte_carlo_assess(make_labels(np.zeros((48, 40), dtype=np.int64), n_classes=4),
+                           small_scene, 5, 20, seed=3)
 
 
 def test_monte_carlo_builds_class_pools_once(small_scene, monkeypatch):
@@ -133,11 +138,34 @@ def test_monte_carlo_pairs_share_sample_pixels(small_scene, small_panel):
     a = monte_carlo_assess(hard_classify(small_panel[0]), small_scene, 4, 30, 9)
     b = monte_carlo_assess(hard_classify(small_panel[2]), small_scene, 4, 30, 9)
     # iteration i of both runs drew the sample from seed 9+i
+    idx = stratified_samples(small_scene, 4, 30, seed=9)
     for i in range(4):
-        idx = stratified_sample(small_scene, 30, seed=9 + i)
-        got = confusion(hard_classify(small_panel[0]), small_scene, idx)
-        assert accuracy_report(got).overall == a.per_iteration[i].overall
-    assert (a.overall_series() > b.overall_series()).all()
+        got = confusion(hard_classify(small_panel[0]), small_scene, idx[i])
+        assert accuracy_report(got).overall == a.overall[i]
+    assert (a.overall > b.overall).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+def test_monte_carlo_cube_matches_per_iteration_scorer(small_scene, small_panel, seed):
+    """Reference: score each iteration on its own with confusion and
+    accuracy_report. The prediction has NODATA pixels and never predicts
+    class 3, so UA is NaN there and the NODATA samples must be skipped."""
+    from mapfuse.grids import hard_classify
+    v = hard_classify(small_panel[1]).values.astype(np.int64)
+    v[v == 3] = 2
+    v[::5, ::3] = NODATA
+    pred = make_labels(v, n_classes=4)
+    n, per_class = 6, 25
+    mc = monte_carlo_assess(pred, small_scene, n, per_class, seed)
+    assert mc.n_iterations == n
+    idx = stratified_samples(small_scene, n, per_class, seed)
+    for i in range(n):
+        want = accuracy_report(confusion(pred, small_scene, idx[i]))
+        assert mc.overall[i] == want.overall
+        # exact equality, NaN in the same places
+        np.testing.assert_array_equal(mc.users[i], want.users)
+        np.testing.assert_array_equal(mc.producers[i], want.producers)
+    assert np.isnan(mc.users[:, 3]).all()
 
 
 def test_balanced_full_population_equals_full_grid():
@@ -152,7 +180,7 @@ def test_balanced_full_population_equals_full_grid():
     pred = make_labels(pred_v, n_classes=4)
     mc = monte_carlo_assess(pred, ref, 1, 16, seed=0)
     full = accuracy_report(confusion(pred, ref))
-    assert mc.per_iteration[0].overall == pytest.approx(full.overall, abs=1e-12)
+    assert mc.overall[0] == pytest.approx(full.overall, abs=1e-12)
 
 
 def test_ten_percent_flip_calibration():
@@ -165,7 +193,7 @@ def test_ten_percent_flip_calibration():
     ref = make_labels(ref_v, n_classes=4)
     pred = make_labels(pred_v.reshape(100, 100), n_classes=4)
     mc = monte_carlo_assess(pred, ref, 100, 300, seed=5)
-    assert mc.overall_series().mean() == pytest.approx(0.90, abs=0.02)
+    assert mc.overall.mean() == pytest.approx(0.90, abs=0.02)
 
 
 # ------------------------------------------------------------ t machinery
@@ -236,28 +264,7 @@ def test_paired_t_matches_scipy(diffs, seed):
         assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-12)
 
 
-# ------------------------------------------------------- small utilities
-
-def test_agreement_ratio():
-    ref = make_labels(np.array([[0, 1], [2, 2]]), n_classes=3)
-    assert agreement_ratio([(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 2)], ref) == 1.0
-    assert agreement_ratio([(0, 0, 0), (0, 1, 0)], ref) == 0.5
-    with pytest.raises(ValueError, match="empty"):
-        agreement_ratio([], ref)
-    with pytest.raises(ValueError, match="outside"):
-        agreement_ratio([(5, 0, 0)], ref)
-
-
-def test_pearson_correlation():
-    x = np.arange(10.0)
-    assert pearson_correlation(x, 2 * x + 1) == pytest.approx(1.0)
-    assert pearson_correlation(x, -x) == pytest.approx(-1.0)
-    assert pearson_correlation((1, 2, 3), (1, 3, 2)) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="zero variance"):
-        pearson_correlation((1, 1, 1), (1, 2, 3))
-    with pytest.raises(ValueError, match="three"):
-        pearson_correlation((1, 2), (3, 4))
-
+# ------------------------------------------------------------ CSV output
 
 def test_write_mc_csv_format(tmp_path, small_scene):
     mc = monte_carlo_assess(small_scene, small_scene, 2, 10, seed=0)

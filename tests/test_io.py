@@ -1,6 +1,8 @@
-"""On-disk raster format: sidecar headers, payload layout, round-trips."""
+"""On-disk formats: raster sidecar headers, payload layout, round-trips, and
+the one CSV writer."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from mapfuse.grids import (NODATA, EntropyRaster, GridShape, LabelRaster,
                            ProbabilityRaster)
 from mapfuse.io import (load_entropy_raster, load_label_raster,
                         load_probability_raster, save_entropy_raster,
-                        save_label_raster, save_probability_raster)
+                        save_label_raster, save_probability_raster, write_csv)
 
 from conftest import make_labels, random_prob
 
@@ -209,3 +211,31 @@ def test_loaders_check_dtype_and_band_count(tmp_path):
         load_entropy_raster(tmp_path / "p")
     with pytest.raises(ValueError, match="2 f32 band"):
         load_probability_raster(tmp_path / "m")
+
+
+# ------------------------------------------------------------- tables
+
+def test_write_csv_cell_format(tmp_path):
+    write_csv(tmp_path / "t.csv", ["f64", "nan", "int", "str", "float"],
+              [[np.float64(0.1), np.float64("nan"), 7, "kmeans-k2g1", 2.5]])
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b"f64,nan,int,str,float\n0.1,,7,kmeans-k2g1,2.5\n"
+
+
+def test_write_csv_failure_leaves_old_bytes_and_no_stray(tmp_path, monkeypatch):
+    """A write that fails at the rename keeps an existing target's bytes,
+    creates no partial target, and removes its temporary file."""
+    target = tmp_path / "t.csv"
+    write_csv(target, ["a"], [[1]])
+    old = target.read_bytes()
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(target, ["a"], [[2]])
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(tmp_path / "new.csv", ["a"], [[2]])
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -240,6 +241,26 @@ def test_failed_set_marks_each_of_its_ids(panel_dir, tmp_path, monkeypatch):
         else:
             assert entry["status"] == "done" and "error" not in entry
     assert not (out / "summary.csv").exists()
+
+
+def test_failed_manifest_write_keeps_the_planned_manifest(panel_dir, tmp_path,
+                                                          monkeypatch):
+    """The manifest is replaced whole: when its final write fails, the file
+    still holds the planned manifest, and no temporary file is left."""
+    out = tmp_path / "run"
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "manifest.json" and (out / "summary.csv").exists():
+            raise OSError("disk full")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        run_pipeline(config_for(panel_dir, out, fusion_modes=("unweighted",)))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["status"] for e in manifest["variants"]} == {"planned"}
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
