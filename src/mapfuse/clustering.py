@@ -1,10 +1,12 @@
 """Entropy feature extraction and investigator-map clustering.
 
 Maps are grouped by how their per-pixel uncertainty is distributed: each
-map is reduced to a flat vector of pixel-wise Shannon entropies (bits),
-and those vectors are partitioned with hand-rolled k-Means (squared
-Euclidean) or k-Medoids/PAM (Manhattan). Entropy rasters share one unit
-and one range, so rows are deliberately left unstandardized.
+map is reduced to a flat vector of pixel-wise Shannon entropies (bits).
+Entropy rasters share one unit and one range, so rows are deliberately left
+unstandardized. The feature matrix holds the two J x J distance matrices
+between its rows, built once: hand-rolled k-Means (Lloyd on squared
+Euclidean distances, via the kernel k-means identity) and k-Medoids/PAM
+(Manhattan) read only those, never the pixel-length rows.
 
 Cluster numbering is canonical: clusters are ordered by their smallest
 member index, so identical inputs yield identical models regardless of
@@ -14,14 +16,14 @@ internal restart bookkeeping.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .grids import EntropyRaster, ProbabilityRaster, _freeze, common_shape
-from .io import is_bare_file_name
+from .io import is_bare_file_name, write_text_atomic
 
 
 def entropy_map(p: ProbabilityRaster) -> EntropyRaster:
@@ -36,10 +38,13 @@ def entropy_map(p: ProbabilityRaster) -> EntropyRaster:
 
 @dataclass(frozen=True)
 class EntropyFeatureMatrix:
-    """One flattened entropy raster per investigator map."""
+    """One flattened entropy raster per investigator map, and the two J x J
+    distance matrices between them that the clusterers read."""
 
     rows: np.ndarray          # (J, H*W) bits
     max_entropy: float        # log2(C), the feature-space ceiling
+    sqeuclidean: np.ndarray = field(init=False)   # (J, J), for k-means
+    cityblock: np.ndarray = field(init=False)     # (J, J), for PAM
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=np.float64)
@@ -48,14 +53,12 @@ class EntropyFeatureMatrix:
         if (r < 0).any() or (r > self.max_entropy + 1e-9).any():
             raise ValueError("entropy features outside [0, log2(C)]")
         object.__setattr__(self, "rows", _freeze(r))
+        for metric in ("sqeuclidean", "cityblock"):
+            object.__setattr__(self, metric, _freeze(cdist(r, r, metric)))
 
     @property
     def n_maps(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
 
 
 def entropy_features(maps) -> EntropyFeatureMatrix:
@@ -87,78 +90,74 @@ class ClusterModel:
 
 def _canonical(assignment: np.ndarray, k: int) -> np.ndarray:
     """Relabel clusters in order of first appearance (smallest member index)."""
-    order = {}
-    for a in assignment:
-        if a not in order:
-            order[a] = len(order)
+    order = {a: c for c, a in enumerate(dict.fromkeys(assignment.tolist()))}
     if len(order) != k:
         raise ValueError("every cluster must be non-empty")
-    return np.array([order[a] for a in assignment], dtype=np.int64)
+    return np.array([order[a] for a in assignment.tolist()], dtype=np.int64)
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, features: EntropyFeatureMatrix) -> None:
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {n} available maps")
+    # a map is distinct unless an earlier map has the same entropy raster
+    distinct = int((~np.tril(features.cityblock == 0, -1).any(axis=1)).sum())
+    if k > distinct:
+        raise ValueError(f"k={k} exceeds the {distinct} distinct maps")
 
 
-def _kmeanspp(x: np.ndarray, k: int, rng) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
+def _kmeanspp(d: np.ndarray, k: int, rng) -> list[int]:
+    """k-means++ seeds as map indices, from squared distances ``d``."""
+    n = len(d)
+    seeds = [int(rng.integers(n))]
+    d2 = d[seeds[0]]
+    for _ in range(1, k):
         total = d2.sum()
-        if total == 0:
-            centers[c] = x[rng.integers(n)]
-            continue
-        centers[c] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
-    return centers
+        seeds.append(int(rng.integers(n) if total == 0 else rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, d[seeds[-1]])
+    return seeds
 
 
-def _lloyd(x: np.ndarray, k: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
-    centers = _kmeanspp(x, k, rng)
-    assign = np.full(x.shape[0], -1)
+def _lloyd(d: np.ndarray, k: int, rng) -> tuple[np.ndarray, float]:
+    """Lloyd's algorithm on the J x J squared distances ``d`` alone: row c of
+    ``w`` is 1/|S| on cluster c's members S, ||x_i - mu_S||^2 = (w d)_ci -
+    (w d w^T)_cc / 2, and S's sum of squares is |S| (w d w^T)_cc / 2. No
+    term is as large as |x_i|^2 (as in the Gram form), so none cancels."""
+    n = len(d)
+    w = np.zeros((k, n))
+    w[np.arange(k), _kmeanspp(d, k, rng)] = 1.0
+    assign = np.full(n, -1)
     prev_inertia = np.inf
     for _ in range(300):
-        d2 = cdist(x, centers, "sqeuclidean")
+        wd = w @ d
+        d2 = (wd - 0.5 * (wd * w).sum(axis=1, keepdims=True)).T
         new_assign = d2.argmin(axis=1)
         for empty in range(k):
             if not (new_assign == empty).any():
                 # donate the globally worst-fit point to the empty cluster
-                far = d2[np.arange(len(new_assign)), new_assign].argmax()
+                far = d2[np.arange(n), new_assign].argmax()
                 new_assign[far] = empty
                 d2[far] = 0
-        for c in range(k):
-            centers[c] = x[new_assign == c].mean(axis=0)
-        resid = centers[new_assign]       # one (J, F) buffer, squared in place
-        inertia = float(np.square(np.subtract(x, resid, out=resid), out=resid).sum())
-        del resid                         # so the next pass never holds two
+        w = (new_assign == np.arange(k)[:, None]).astype(np.float64)
+        sizes = w.sum(axis=1)
+        w /= sizes[:, None]
+        inertia = float(sizes @ ((w @ d) * w).sum(axis=1)) / 2
         if not inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia):
             raise RuntimeError(f"k-means inertia increased: {prev_inertia!r} -> {inertia!r}")
         prev_inertia = inertia
         if (new_assign == assign).all():
             break
         assign = new_assign
-    return assign, centers, prev_inertia
+    return assign, prev_inertia
 
 
 def kmeans_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm, k-means++ start, best of 10 seeded restarts."""
-    x = features.rows
-    _check_k(k, features.n_maps)
-    best = None
-    for restart in range(10):
-        rng = np.random.default_rng((seed, restart))
-        assign, centers, inertia = _lloyd(x, k, rng)
-        if best is None or inertia < best[2]:
-            best = (assign, centers, inertia)
-    assign, centers, inertia = best
+    _check_k(k, features)
+    runs = [_lloyd(features.sqeuclidean, k, np.random.default_rng((seed, restart)))
+            for restart in range(10)]
+    assign, inertia = min(runs, key=lambda run: run[1])     # first of any ties
     assign = _canonical(assign, k)
-    # reorder centroid rows to match the canonical numbering
-    centers = np.stack([x[assign == c].mean(axis=0) for c in range(k)])
+    centers = np.stack([features.rows[assign == c].mean(axis=0) for c in range(k)])
     return ClusterModel("kmeans", k, assign, centers, inertia, seed)
 
 
@@ -168,11 +167,10 @@ def _pam_cost(dist: np.ndarray, medoids) -> float:
 
 def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> ClusterModel:
     """PAM build + swap under Manhattan distance; seed breaks cost ties."""
-    x = features.rows
+    _check_k(k, features)
+    dist = features.cityblock
     n = features.n_maps
-    _check_k(k, n)
     rng = np.random.default_rng(seed)
-    dist = cdist(x, x, "cityblock")
 
     def pick(cands, costs):
         lo = costs.min()
@@ -207,15 +205,11 @@ def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Clust
         cost = float(costs.min())
 
     medoids = np.array(sorted(medoids))
-    assign = dist[:, medoids].argmin(axis=1)
-    assign = _canonical(assign, k)
-    # medoid order must follow the canonical cluster numbering
-    reordered = np.empty(k, dtype=np.int64)
-    for c in range(k):
-        members = np.flatnonzero(assign == c)
-        owner = [m for m in medoids if m in members]
-        reordered[c] = owner[0]
-    return ClusterModel("kmedoids", k, assign, reordered, cost, seed)
+    assign = _canonical(dist[:, medoids].argmin(axis=1), k)
+    # distinct medoids each own their cluster: list them in canonical order
+    ordered = np.empty(k, dtype=np.int64)
+    ordered[assign[medoids]] = medoids
+    return ClusterModel("kmedoids", k, assign, ordered, cost, seed)
 
 
 def adjusted_rand_index(a, b) -> float:
@@ -241,6 +235,8 @@ def adjusted_rand_index(a, b) -> float:
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:
+    """Write the model as JSON; k-means centroids go first, atomically, to a
+    ``.centers`` file beside it, so a JSON always names a complete one."""
     path = Path(path)
     doc = {
         "method": model.method,
@@ -253,10 +249,10 @@ def save_cluster_model(model: ClusterModel, path) -> None:
         doc["medoid_indices"] = model.centers.tolist()
     else:
         centers_file = path.with_suffix(".centers")
-        centers_file.write_bytes(model.centers.astype("<f8").tobytes())
+        write_text_atomic(centers_file, model.centers.astype("<f8").tobytes())
         doc["centers_file"] = centers_file.name
         doc["centers_shape"] = list(model.centers.shape)
-    path.write_text(json.dumps(doc, indent=2))
+    write_text_atomic(path, json.dumps(doc, indent=2))
 
 
 def load_cluster_model(path) -> ClusterModel:

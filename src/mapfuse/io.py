@@ -33,14 +33,17 @@ def is_bare_file_name(name) -> bool:
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` via a temporary file beside it, named by
-    the OS thread id, so a crash never leaves part of a file; the temporary
-    file is removed if the write fails."""
+def write_text_atomic(path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text, or bytes written as they are) via
+    a temporary file beside it, named by the OS thread id, so a crash never
+    leaves part of a file; the temporary file is removed if the write fails."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{threading.get_native_id()}.tmp")
     try:
-        tmp.write_text(text)
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -114,6 +114,32 @@ def test_fuse_cluster_group(work, capsys):
     assert rc == 2
 
 
+def test_fewer_distinct_maps_than_k_exits_2(work, capsys, tmp_path):
+    # 8 maps, 3 of them distinct: k = 4 would have to split copies of a map
+    data = tmp_path / "dup"
+    data.mkdir()
+    sources = ["g0inv00", "g0inv01", "g1inv00"]
+    ids = [f"m{j}" for j in range(8)]
+    for j, name in enumerate(ids):
+        for suffix in ("", ".json"):
+            shutil.copy(work / "data" / (sources[j % 3] + suffix), data / (name + suffix))
+    for suffix in ("", ".json"):
+        shutil.copy(work / "data" / ("truth" + suffix), data / ("truth" + suffix))
+    (data / "index.json").write_text(json.dumps({"truth": "truth", "investigators": ids}))
+    capsys.readouterr()
+    for method in ("kmeans", "kmedoids"):
+        rc = main(["fuse", "-i", str(data), "-o", str(tmp_path / method),
+                   "--cluster", method, "-k", "4"])
+        assert rc == 2
+        assert "k=4 exceeds the 3 distinct maps" in capsys.readouterr().err
+        cfg = {"input_dir": str(data), "reference": str(data / "truth"),
+               "output_dir": str(tmp_path / f"run-{method}"), "k_values": [4],
+               "methods": [method], "mc_iterations": 3, "per_class_samples": 5}
+        (tmp_path / "p.json").write_text(json.dumps(cfg))
+        assert main(["pipeline", str(tmp_path / "p.json")]) == 2
+        assert "k=4 exceeds the 3 distinct maps" in capsys.readouterr().err
+
+
 def test_entropy_command(work, capsys):
     rc = main(["entropy", "-i", str(work / "data" / "g0inv00"),
                "-o", str(work / "ent")])

@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import mapfuse.clustering as clustering
 from mapfuse.clustering import (ClusterModel, EntropyFeatureMatrix,
@@ -14,6 +16,8 @@ from mapfuse.clustering import (ClusterModel, EntropyFeatureMatrix,
                                 entropy_map, kmeans_cluster, kmedoids_cluster,
                                 load_cluster_model, save_cluster_model)
 from mapfuse.grids import GridShape, ProbabilityRaster
+from mapfuse.synth import (InvestigatorSpec, SceneSpec, generate_investigator,
+                           generate_scene, style_kernel)
 
 from conftest import make_prob, random_prob
 
@@ -46,7 +50,7 @@ def test_entropy_features_rows_are_flat_maps():
     rng = np.random.default_rng(1)
     maps = [random_prob(rng, 4, 3, 4) for _ in range(2)]
     f = entropy_features(maps)
-    assert f.n_maps == 2 and f.n_features == 12
+    assert f.n_maps == 2 and f.rows.shape == (2, 12)
     assert f.max_entropy == 2.0
     assert (f.rows[1] == entropy_map(maps[1]).values.ravel()).all()
     with pytest.raises(ValueError):
@@ -58,6 +62,26 @@ def test_entropy_features_rows_are_flat_maps():
 def _features(rows, max_entropy=20.0):
     return EntropyFeatureMatrix(rows=np.asarray(rows, dtype=np.float64),
                                 max_entropy=max_entropy)
+
+
+def test_feature_matrix_distances_are_cdist():
+    rows = np.random.default_rng(2).uniform(0, 2, size=(7, 30))
+    f = _features(rows)
+    for metric in ("sqeuclidean", "cityblock"):
+        d = getattr(f, metric)
+        assert (d == cdist(rows, rows, metric)).all()
+        assert not d.flags.writeable
+
+
+def test_clusterers_never_reach_the_rows_after_the_features(monkeypatch):
+    f = _features(np.random.default_rng(3).uniform(0, 2, size=(9, 40)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pixel-length distance computed per call")
+
+    monkeypatch.setattr(clustering, "cdist", refuse)
+    for fit in (kmeans_cluster, kmedoids_cluster):
+        assert fit(f, 3, seed=0).k == 3
 
 
 # ----------------------------------------------------------------- kmeans
@@ -108,6 +132,128 @@ def test_planted_two_groups_recovered():
     for fit in (kmeans_cluster, kmedoids_cluster):
         model = fit(f, 2, seed=1)
         assert adjusted_rand_index(model.assignment, planted) == 1.0
+
+
+# Reference: the row-based k-means that the J x J form replaced. It seeds
+# and runs Lloyd on the (J, F) rows with centroid rows, and draws from the
+# same seeded streams, so assignments must match exactly and the inertia
+# to rounding.
+
+def _kmeanspp_rows(x, k, rng):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centers[c] = x[rng.integers(n)]
+            continue
+        centers[c] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def _lloyd_rows(x, k, rng):
+    centers = _kmeanspp_rows(x, k, rng)
+    assign = np.full(x.shape[0], -1)
+    prev_inertia = np.inf
+    for _ in range(300):
+        d2 = cdist(x, centers, "sqeuclidean")
+        new_assign = d2.argmin(axis=1)
+        for empty in range(k):
+            if not (new_assign == empty).any():
+                far = d2[np.arange(len(new_assign)), new_assign].argmax()
+                new_assign[far] = empty
+                d2[far] = 0
+        for c in range(k):
+            centers[c] = x[new_assign == c].mean(axis=0)
+        inertia = float(((x - centers[new_assign]) ** 2).sum())
+        assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia)
+        prev_inertia = inertia
+        if (new_assign == assign).all():
+            break
+        assign = new_assign
+    return assign, prev_inertia
+
+
+def kmeans_rows(x, k, seed):
+    """Best of 10 restarts, canonical numbering, as ``kmeans_cluster``."""
+    best = None
+    for restart in range(10):
+        assign, inertia = _lloyd_rows(x, k, np.random.default_rng((seed, restart)))
+        if best is None or inertia < best[1]:
+            best = (assign, inertia)
+    _, first = np.unique(best[0], return_index=True)
+    return np.argsort(np.argsort(first))[best[0]], best[1]
+
+
+def assert_matches_rows(rows, k, seed):
+    rows = np.asarray(rows, dtype=np.float64)
+    model = kmeans_cluster(_features(rows), k, seed)
+    assign, inertia = kmeans_rows(rows, k, seed)
+    assert (model.assignment == assign).all()
+    # an exact-zero inertia (repeated maps) is rounding noise in the rows
+    scatter = float(((rows - rows.mean(axis=0)) ** 2).sum())
+    assert model.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-12 * scatter)
+
+
+def test_kmeans_matches_row_oracle_on_random_panels():
+    rng = np.random.default_rng(20)
+    compared = 0
+    for panel in range(300):
+        n = int(rng.integers(5, 16))
+        rows = rng.uniform(0, 2, size=(n, int(rng.integers(1, 9))))
+        if panel % 5 == 0:             # repeated maps, still >= 4 distinct
+            rows[rng.integers(4, n, size=n // 3)] = rows[0]
+        for k in (2, 3, 4):
+            assert_matches_rows(rows, k, seed=panel)
+            compared += 1
+    assert compared == 900
+
+
+def test_kmeans_matches_row_oracle_near_ties():
+    # every row shares a large offset, so |x|^2 dwarfs the distances
+    # (as in entropy rasters), and map 4 sits a hair off the midpoint
+    # between the two pairs, nearly equidistant from both centroids
+    base = np.array([[0.0, 0.0], [0.0, 1e-3], [1.0, 0.0], [1.0, 1e-3],
+                     [0.5 + 1e-11, 5e-4]])
+    rows = 1.5 + np.tile(base, (1, 500))
+    for k in (2, 3):
+        for seed in range(10):
+            assert_matches_rows(rows, k, seed)
+
+
+def test_kmeans_matches_row_oracle_k_equals_j():
+    rows = np.random.default_rng(21).uniform(0, 2, size=(6, 5))
+    assert_matches_rows(rows, 6, seed=4)
+    assert kmeans_cluster(_features(rows), 6, seed=4).inertia == 0.0
+
+
+def two_group_maps(seed, n_per_group=5, size=32):
+    truth = generate_scene(SceneSpec(shape=GridShape(size, size, 4), n_blobs=8,
+                                     class_mix=(0.25,) * 4, seed=seed))
+    return [generate_investigator(truth, InvestigatorSpec(
+                noise_rate=nr, confusion_kernel=style_kernel(4, g), softness=soft,
+                seed=100 * seed + 10 * g + r))
+            for g, (nr, soft) in enumerate(zip((0.05, 0.5), (30.0, 3.0)))
+            for r in range(n_per_group)]
+
+
+def test_kmeans_matches_row_oracle_on_entropy_features():
+    for seed in (1, 2):
+        rows = entropy_features(two_group_maps(seed)).rows
+        for k in (2, 3, 4):
+            assert_matches_rows(rows, k, seed)
+
+
+def test_fewer_distinct_maps_than_k_is_a_value_error():
+    rows = np.random.default_rng(22).uniform(0, 2, size=(3, 5))
+    f = _features(rows[[0, 1, 2, 0, 1, 2, 0, 0]])
+    for fit in (kmeans_cluster, kmedoids_cluster):
+        with pytest.raises(ValueError, match="k=4 exceeds the 3 distinct maps"):
+            fit(f, 4, seed=0)
+        assert fit(f, 3, seed=0).k == 3
 
 
 # --------------------------------------------------------------- kmedoids
@@ -273,3 +419,34 @@ def test_cluster_model_centers_file_stays_in_its_directory(tmp_path, name):
     with pytest.raises(ValueError, match="centers_file") as info:
         load_cluster_model(path)
     assert str(path) in str(info.value)
+
+
+def test_cluster_files_replace_centers_first_and_atomically(tmp_path, monkeypatch):
+    f = _features(np.random.default_rng(16).uniform(0, 10, size=(6, 3)))
+    path = tmp_path / "cluster_kmeans_k2.json"
+    save_cluster_model(kmeans_cluster(f, 2, seed=1), path)
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["cluster_kmeans_k2.centers", "cluster_kmeans_k2.json"]
+
+    replaced = []
+    real_replace = os.replace
+
+    def record(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    save_cluster_model(kmeans_cluster(f, 3, seed=1), path)
+    assert replaced == ["cluster_kmeans_k2.centers", "cluster_kmeans_k2.json"]
+    assert load_cluster_model(path).k == 3
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    new = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(os, "replace", failing)
+    for k in (2, 4):
+        with pytest.raises(OSError, match="disk full"):
+            save_cluster_model(kmeans_cluster(f, k, seed=1), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == new
+

@@ -13,7 +13,8 @@ from mapfuse.grids import (NODATA, EntropyRaster, GridShape, LabelRaster,
                            ProbabilityRaster)
 from mapfuse.io import (load_entropy_raster, load_label_raster,
                         load_probability_raster, save_entropy_raster,
-                        save_label_raster, save_probability_raster, write_csv)
+                        save_label_raster, save_probability_raster, write_csv,
+                        write_text_atomic)
 
 from conftest import make_labels, random_prob
 
@@ -239,3 +240,20 @@ def test_write_csv_failure_leaves_old_bytes_and_no_stray(tmp_path, monkeypatch):
         write_csv(tmp_path / "new.csv", ["a"], [[2]])
     assert target.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_text_atomic_bytes_and_failure(tmp_path, monkeypatch):
+    """Bytes are written as they are; a failed rename keeps the old bytes
+    and leaves no temporary file."""
+    target = tmp_path / "t.bin"
+    write_text_atomic(target, b"\x00\xff\n")
+    assert target.read_bytes() == b"\x00\xff\n"
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_text_atomic(target, b"\x01")
+    assert target.read_bytes() == b"\x00\xff\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
