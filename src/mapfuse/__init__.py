@@ -14,8 +14,8 @@ from .clustering import (ClusterModel, EntropyFeatureMatrix, adjusted_rand_index
                          entropy_features, entropy_map, kmeans_cluster,
                          kmedoids_cluster)
 from .fusion import PosteriorField, fuse, fused_label_map, regularize
-from .grids import (MAX_CLASSES, NODATA, EntropyRaster, GridShape, LabelRaster,
-                    ProbabilityRaster, common_shape, hard_classify)
+from .grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster, ProbabilityRaster,
+                    common_shape, hard_classify)
 from .landscape import EdgeTable, edge_table, iji
 from .pipeline import PipelineConfig, plurality_baseline, run_pipeline
 from .synth import (InvestigatorSpec, SceneSpec, generate_investigator,

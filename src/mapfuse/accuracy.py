@@ -44,10 +44,6 @@ class ConfusionMatrix:
         object.__setattr__(self, "counts", _freeze(c))
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class AccuracyReport:

@@ -122,7 +122,7 @@ def _cmd_entropy(args) -> int:
     from .io import load_probability_raster, save_entropy_raster
 
     raster = load_probability_raster(args.input)
-    save_entropy_raster(entropy_map(raster), args.output)
+    save_entropy_raster(raster.shape, entropy_map(raster), args.output)
     print(f"wrote entropy raster to {args.output}")
     return 0
 

@@ -22,18 +22,19 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .grids import EntropyRaster, ProbabilityRaster, _freeze, common_shape
+from .grids import ProbabilityRaster, _freeze, common_shape
 from .io import is_bare_file_name, write_text_atomic
 
 
-def entropy_map(p: ProbabilityRaster) -> EntropyRaster:
-    """Per-pixel Shannon entropy in bits, with 0*log2(0) = 0."""
+def entropy_map(p: ProbabilityRaster) -> np.ndarray:
+    """(H, W) per-pixel Shannon entropy in bits, with 0*log2(0) = 0, within
+    [0, log2(C)]."""
     v = p.values
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(v > 0, v * np.log2(v), 0.0)
     h = -terms.sum(axis=2)
     # fp rounding can push a hair past the closed bounds
-    return EntropyRaster(p.shape, np.clip(h, 0.0, np.log2(p.shape.n_classes)))
+    return np.clip(h, 0.0, np.log2(p.shape.n_classes))
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def entropy_features(maps) -> EntropyFeatureMatrix:
     shape = common_shape(maps)
     rows = np.empty((len(maps), shape.n_pixels))     # filled in place: one copy
     for j, m in enumerate(maps):
-        rows[j] = entropy_map(m).values.ravel()
+        rows[j] = entropy_map(m).ravel()
     return EntropyFeatureMatrix(rows=rows, max_entropy=float(np.log2(shape.n_classes)))
 
 

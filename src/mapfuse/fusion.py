@@ -1,16 +1,16 @@
 """Closed-form Bayesian fusion of probabilistic classifications.
 
-Each pixel carries a Dirichlet prior over class proportions. Treating
-investigator probability vectors as weighted fractional observations,
-conjugacy gives the posterior concentration in closed form:
+Each pixel carries the flat Dirichlet prior, alpha = 1 for every class.
+Treating investigator probability vectors as weighted fractional
+observations, conjugacy gives the posterior concentration in closed form:
 
-    alpha_post[i, c] = alpha[c] + sum_j w[j] * p[j, i, c]
+    alpha_post[i, c] = 1 + sum_j w[j] * p[j, i, c]
 
 and the posterior mean estimate of the class proportions
 
-    theta_hat[i, c] = alpha_post[i, c] / (alpha_0 + W)
+    theta_hat[i, c] = alpha_post[i, c] / (C + W)
 
-with alpha_0 = sum_c alpha[c] and W = sum_j w[j]. No sampling or
+with C the number of classes and W = sum_j w[j]. No sampling or
 iteration is involved; fusing any number of maps is a single weighted
 sum over the panel.
 """
@@ -34,42 +34,32 @@ class PosteriorField:
     shape: GridShape
     alpha: np.ndarray          # (H, W, C) posterior concentration
     mean: ProbabilityRaster    # posterior mean, a proper probability raster
-    weights: np.ndarray        # (J,) weights actually applied
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _freeze(np.asarray(self.alpha, dtype=np.float64)))
-        object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, dtype=np.float64)))
-
-    @property
-    def strength(self) -> float:
-        """Total posterior concentration alpha_0 + W (same at every pixel)."""
-        return float(self.alpha[0, 0].sum())
 
 
-def regularize(values: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Replace zero components by epsilon and renormalize each pixel.
-
-    Keeps probability vectors strictly interior to the simplex so that
-    log-density evaluation and zero-count conjugate updates stay finite.
-    Vectors without zeros pass through up to renormalization.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if (values < 0).any():
+def regularize(values) -> np.ndarray:
+    """A float64 copy with zeros replaced by DEFAULT_EPSILON and each pixel
+    (last axis) renormalized, so vectors stay strictly inside the simplex and
+    zero-count conjugate updates stay finite. Negative values raise; NaN and
+    Inf pass through for ProbabilityRaster to reject."""
+    out = np.array(values, dtype=np.float64)     # a copy in the input's layout
+    if (out < 0).any():
         raise ValueError("negative probability")
-    out = np.where(values == 0.0, epsilon, values)
-    return out / out.sum(axis=-1, keepdims=True)
+    out[out == 0.0] = DEFAULT_EPSILON
+    with np.errstate(invalid="ignore"):
+        out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def fuse(maps, weights=None, prior_alpha: float = 1.0) -> PosteriorField:
-    """Fuse probability rasters into a posterior field.
+def fuse(maps, weights=None) -> PosteriorField:
+    """Fuse probability rasters into a posterior field under the flat
+    Dirichlet prior (alpha = 1 for every class).
 
     weights : per-map positive weights, one per raster; defaults to all
     ones (each map counts as a single observation).
-    prior_alpha : symmetric Dirichlet prior concentration for every
-    class; 1.0 is the flat (uniform) prior used throughout.
     """
-    if not (prior_alpha > 0 and np.isfinite(prior_alpha)):
-        raise ValueError(f"prior_alpha must be positive, got {prior_alpha}")
     shape = common_shape(maps)
     n_maps = len(maps)
     if weights is None:
@@ -83,10 +73,9 @@ def fuse(maps, weights=None, prior_alpha: float = 1.0) -> PosteriorField:
 
     # accumulated map by map: no (J, H, W, C) copy of the panel
     evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
-    alpha_post = prior_alpha + evidence
-    strength = prior_alpha * shape.n_classes + w.sum()
-    mean = ProbabilityRaster(shape, alpha_post / strength)
-    return PosteriorField(shape=shape, alpha=alpha_post, mean=mean, weights=w)
+    alpha_post = 1.0 + evidence
+    mean = ProbabilityRaster(shape, alpha_post / (shape.n_classes + w.sum()))
+    return PosteriorField(shape=shape, alpha=alpha_post, mean=mean)
 
 
 def fused_label_map(posterior: PosteriorField) -> LabelRaster:

@@ -111,24 +111,6 @@ class LabelRaster:
         return self.values != NODATA
 
 
-@dataclass(frozen=True)
-class EntropyRaster:
-    """Per-pixel Shannon entropy in bits, bounded by log2(n_classes)."""
-
-    shape: GridShape
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        expected = (self.shape.height, self.shape.width)
-        if v.shape != expected:
-            raise ValueError(f"values shape {v.shape} does not match grid {expected}")
-        hmax = np.log2(self.shape.n_classes)
-        if (v < 0).any() or (v > hmax).any() or not np.isfinite(v).all():
-            raise ValueError(f"entropy values must lie within [0, {hmax}]")
-        object.__setattr__(self, "values", _freeze(v))
-
-
 def common_shape(maps) -> GridShape:
     """The grid every raster of a non-empty panel shares; raises otherwise."""
     if len(maps) == 0:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import DEFAULT_EPSILON
-from .grids import NODATA, EntropyRaster, GridShape, LabelRaster, ProbabilityRaster
+from .fusion import regularize
+from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
@@ -69,7 +69,7 @@ def _header_path(path) -> Path:
 
 
 def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> None:
-    """Write a band-sequential (B, H, W) f32 or u8 payload and its header."""
+    """Write a band-sequential (B, H, W) f32 or u8 payload, then its header."""
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
@@ -86,8 +86,9 @@ def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> Non
         "byte_order": "little",
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    _header_path(path).write_text(json.dumps(header, indent=None, sort_keys=True))
-    path.write_bytes(np.ascontiguousarray(payload).tobytes())
+    # payload first, each file replaced whole: a header never precedes its payload
+    write_text_atomic(path, np.ascontiguousarray(payload).tobytes())
+    write_text_atomic(_header_path(path), json.dumps(header, indent=None, sort_keys=True))
 
 
 def read_header(path) -> tuple[GridShape, dict]:
@@ -149,17 +150,14 @@ def load_probability_raster(path) -> ProbabilityRaster:
     """Load and validate a probability stack, regularizing on the way in.
 
     Zero components are replaced by a tiny epsilon and every pixel vector
-    is renormalized to sum to one, so downstream Dirichlet math never sees
-    a zero probability. NaN, Inf or negative samples fail ProbabilityRaster's
-    one check; dividing by |sum| keeps even an all-negative pixel negative.
+    is renormalized to sum to one (``fusion.regularize``), so downstream
+    Dirichlet math never sees a zero probability. Negative samples fail
+    there, NaN and Inf in ProbabilityRaster's check; either error names
+    the path.
     """
     shape, data = _read_pair(path, "f32", None)
-    values = np.moveaxis(data, 0, 2).astype(np.float64)
-    values[values == 0.0] = DEFAULT_EPSILON
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values /= np.abs(values.sum(axis=2, keepdims=True))
     try:
-        return ProbabilityRaster(shape, values)
+        return ProbabilityRaster(shape, regularize(np.moveaxis(data, 0, 2)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -173,10 +171,6 @@ def load_label_raster(path) -> LabelRaster:
     return LabelRaster(shape, data[0])
 
 
-def save_entropy_raster(raster: EntropyRaster, path) -> None:
-    _write_pair(path, raster.shape, raster.values[None, :, :].astype("<f4"))
-
-
-def load_entropy_raster(path) -> EntropyRaster:
-    shape, data = _read_pair(path, "f32", 1)
-    return EntropyRaster(shape, data[0].astype(np.float64))
+def save_entropy_raster(shape: GridShape, values: np.ndarray, path) -> None:
+    """Write an (H, W) entropy map (bits) as a single f32 band."""
+    _write_pair(path, shape, np.asarray(values, dtype="<f4")[None, :, :])

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accuracy import monte_carlo_assess, paired_t_test, write_mc_csv
+from .accuracy import monte_carlo_assess, paired_t_test, stratified_samples, write_mc_csv
 from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
@@ -145,6 +145,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for k in config.k_values:
             if k > n_maps:
                 raise ValueError(f"k={k} exceeds the {n_maps} investigator maps")
+    # every set's Monte Carlo draw makes this check; fail before the fit starts
+    stratified_samples(reference, 1, config.per_class_samples, config.seed)
 
     # ---- plan and execute ---------------------------------------------
     # The kappa fit is the longest task, so it goes onto the pool first and

@@ -13,7 +13,7 @@ import pytest
 
 import mapfuse
 from mapfuse.cli import main
-from mapfuse.io import load_entropy_raster, load_label_raster
+from mapfuse.io import load_label_raster, read_header
 
 
 @pytest.fixture(scope="module")
@@ -144,9 +144,11 @@ def test_entropy_command(work, capsys):
     rc = main(["entropy", "-i", str(work / "data" / "g0inv00"),
                "-o", str(work / "ent")])
     assert rc == 0
-    r = load_entropy_raster(work / "ent")
-    assert r.values.shape == (24, 24)
-    assert float(r.values.max()) <= 2.0 + 1e-9
+    shape, header = read_header(work / "ent")
+    assert (header["dtype"], header["bands"]) == ("f32", 1)
+    h = np.frombuffer((work / "ent").read_bytes(), dtype="<f4")
+    assert (shape.height, shape.width) == (24, 24) and h.size == 24 * 24
+    assert float(h.max()) <= 2.0 + 1e-9
 
     # a label raster is not a probability stack
     rc = main(["entropy", "-i", str(work / "data" / "truth"),

@@ -28,7 +28,7 @@ def test_entropy_exact_values():
     p = make_prob([[[0.25, 0.25, 0.25, 0.25],
                     [1.0, 0.0, 0.0, 0.0],
                     [0.5, 0.5, 0.0, 0.0]]])
-    h = entropy_map(p).values[0]
+    h = entropy_map(p)[0]
     assert h[0] == 2.0
     assert h[1] == 0.0
     assert h[2] == 1.0
@@ -38,10 +38,10 @@ def test_entropy_bounds_and_uniform_maximum():
     rng = np.random.default_rng(0)
     for c in (2, 3, 4, 6):
         p = random_prob(rng, 20, 20, c)
-        h = entropy_map(p).values
+        h = entropy_map(p)
         assert (h >= 0).all() and (h <= np.log2(c)).all()
         uniform = make_prob(np.full((1, 1, c), 1.0 / c))
-        assert entropy_map(uniform).values[0, 0] == pytest.approx(np.log2(c), abs=1e-12)
+        assert entropy_map(uniform)[0, 0] == pytest.approx(np.log2(c), abs=1e-12)
         # maximum is attained only at the uniform vector
         assert (h > np.log2(c) - 1e-12).sum() == 0
 
@@ -52,11 +52,19 @@ def test_entropy_features_rows_are_flat_maps():
     f = entropy_features(maps)
     assert f.n_maps == 2 and f.rows.shape == (2, 12)
     assert f.max_entropy == 2.0
-    assert (f.rows[1] == entropy_map(maps[1]).values.ravel()).all()
+    assert (f.rows[1] == entropy_map(maps[1]).ravel()).all()
     with pytest.raises(ValueError):
         entropy_features([])
     with pytest.raises(ValueError, match="shape mismatch"):
         entropy_features([maps[0], random_prob(rng, 3, 3, 4)])
+
+
+def test_feature_matrix_rejects_entropy_outside_its_range():
+    # the one range check on entropy values: [0, log2(C)], here C = 4
+    EntropyFeatureMatrix(rows=np.array([[0.0, 2.0]]), max_entropy=2.0)
+    for bad in ([0.0, 2.1], [-0.01, 1.0]):
+        with pytest.raises(ValueError, match="outside"):
+            EntropyFeatureMatrix(rows=np.array([bad]), max_entropy=2.0)
 
 
 def _features(rows, max_entropy=20.0):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mapfuse.fusion import PosteriorField, fuse, fused_label_map, regularize
+from mapfuse.fusion import (DEFAULT_EPSILON, PosteriorField, fuse, fused_label_map,
+                            regularize)
 from mapfuse.grids import GridShape, ProbabilityRaster, hard_classify
 
 from conftest import make_prob, random_prob
@@ -55,7 +56,7 @@ def test_default_weights_are_ones():
     a = fuse(maps)
     b = fuse(maps, weights=np.ones(3))
     assert (a.mean.values == b.mean.values).all()
-    assert a.strength == pytest.approx(4.0 + 3.0)
+    assert a.alpha[0, 0].sum() == pytest.approx(4.0 + 3.0)
 
 
 def test_permutation_invariance():
@@ -97,16 +98,16 @@ def test_prior_dominance_limit():
 
 def test_agreement_with_counting():
     # near-one-hot inputs: pseudo-count increments equal the vote counts
-    eps = 1e-6
     votes = [0, 0, 2, 1, 0]
     maps = []
     for c in votes:
         v = np.zeros((1, 1, 3))
         v[0, 0, c] = 1.0
-        maps.append(make_prob(regularize(v, eps)))
+        maps.append(make_prob(regularize(v)))
     post = fuse(maps)
     counts = np.array([3.0, 1.0, 1.0])
-    assert np.abs((post.alpha[0, 0] - 1.0) - counts).max() < len(votes) * 3 * eps
+    assert (np.abs((post.alpha[0, 0] - 1.0) - counts).max()
+            < len(votes) * 3 * DEFAULT_EPSILON)
 
 
 def test_fused_label_map_examples():
@@ -115,8 +116,7 @@ def test_fused_label_map_examples():
                       [0.1, 0.2, 0.3, 0.4]]])
     shape = GridShape(3, 1, 4)
     post = PosteriorField(shape=shape, alpha=mean * 6.0,
-                          mean=ProbabilityRaster(shape, mean),
-                          weights=np.ones(2))
+                          mean=ProbabilityRaster(shape, mean))
     assert list(fused_label_map(post).values[0]) == [0, 0, 3]
 
 
@@ -133,21 +133,6 @@ def test_fuse_validation_errors():
         fuse(maps, weights=[1.0, 0.0])
     with pytest.raises(ValueError, match="positive"):
         fuse(maps, weights=[1.0, np.inf])
-
-
-def test_fusion_config_validation():
-    maps = [random_prob(np.random.default_rng(8), 1, 1, 3)]
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="prior_alpha must be positive"):
-            fuse(maps, prior_alpha=bad)
-    assert fuse(maps, prior_alpha=0.5).strength == pytest.approx(0.5 * 3 + 1.0)
-
-
-def test_prior_alpha_scales_strength():
-    rng = np.random.default_rng(9)
-    maps = [random_prob(rng, 1, 1, 4)]
-    post = fuse(maps, prior_alpha=2.5)
-    assert post.strength == pytest.approx(2.5 * 4 + 1.0)
 
 
 def test_regularize_preserves_argmax_and_interior():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfuse.grids import (MAX_CLASSES, NODATA, EntropyRaster, GridShape,
-                           LabelRaster, ProbabilityRaster, hard_classify)
+from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
+                           ProbabilityRaster, hard_classify)
 
 from conftest import make_prob
 
@@ -95,11 +95,3 @@ def test_hard_classify_matches_argmax(seed):
     p = g / g.sum(axis=2, keepdims=True)
     assert (hard_classify(make_prob(p)).values == p.argmax(axis=2)).all()
 
-
-def test_entropy_raster_bounds():
-    s = GridShape(2, 1, 4)
-    EntropyRaster(s, np.array([[0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        EntropyRaster(s, np.array([[0.0, 2.1]]))
-    with pytest.raises(ValueError):
-        EntropyRaster(s, np.array([[-0.01, 1.0]]))

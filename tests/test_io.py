@@ -3,18 +3,17 @@ the one CSV writer."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapfuse.grids import (NODATA, EntropyRaster, GridShape, LabelRaster,
-                           ProbabilityRaster)
-from mapfuse.io import (load_entropy_raster, load_label_raster,
-                        load_probability_raster, save_entropy_raster,
-                        save_label_raster, save_probability_raster, write_csv,
-                        write_text_atomic)
+from mapfuse.grids import NODATA, GridShape, LabelRaster, ProbabilityRaster
+from mapfuse.io import (load_label_raster, load_probability_raster, read_header,
+                        save_entropy_raster, save_label_raster,
+                        save_probability_raster, write_csv, write_text_atomic)
 
 from conftest import make_labels, random_prob
 
@@ -75,9 +74,13 @@ def test_label_round_trip_property(tmp_path_factory, seed, h, w, c):
 def test_entropy_round_trip(tmp_path):
     shape = GridShape(3, 2, 4)
     v = np.float64(np.array([[0.0, 1.5, 2.0], [0.25, 1.0, 0.125]], dtype=np.float32))
-    r = EntropyRaster(shape, v)
-    save_entropy_raster(r, tmp_path / "ent")
-    assert (load_entropy_raster(tmp_path / "ent").values == v).all()
+    save_entropy_raster(shape, v, tmp_path / "ent")
+    assert read_header(tmp_path / "ent") == (shape, {
+        "width": 3, "height": 2, "bands": 1, "dtype": "f32",
+        "class_names": ["class0", "class1", "class2", "class3"], "nodata": None,
+        "byte_order": "little"})
+    back = np.frombuffer((tmp_path / "ent").read_bytes(), dtype="<f4")
+    assert (back.reshape(2, 3) == v).all()
 
 
 def test_header_contents(tmp_path):
@@ -155,6 +158,32 @@ def test_directory_target_rejected_before_any_write(tmp_path, monkeypatch):
     assert list(target.iterdir()) == []
 
 
+def _fail_payload_write(monkeypatch):
+    def failing(self, data):
+        raise OSError("disk full")
+    monkeypatch.setattr(Path, "write_bytes", failing)
+
+
+def test_failed_payload_write_leaves_no_header_and_no_stray(tmp_path, monkeypatch):
+    """The payload is written before the header, so a payload that never
+    lands leaves nothing behind: no header claiming it, no temporary file."""
+    _fail_payload_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save_label_raster(make_labels([[0, 1], [1, 0]], n_classes=2), tmp_path / "m")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_payload_write_keeps_the_old_pair(tmp_path, monkeypatch):
+    save_label_raster(make_labels([[0, 1], [1, 0]], n_classes=2), tmp_path / "m")
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_payload_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save_probability_raster(random_prob(np.random.default_rng(5), 3, 3, 3),
+                                tmp_path / "m")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+    assert sorted(old) == ["m", "m.json"]
+
+
 def test_loader_regularizes_zeros(tmp_path):
     shape = GridShape(1, 1, 3, ("a", "b", "c"))
     # hand-write a pair whose pixel contains an exact zero
@@ -208,8 +237,6 @@ def test_loaders_check_dtype_and_band_count(tmp_path):
     save_label_raster(make_labels([[0, 1]], n_classes=2), tmp_path / "m")
     with pytest.raises(ValueError, match="1 u8 band"):
         load_label_raster(tmp_path / "p")
-    with pytest.raises(ValueError, match="1 f32 band"):
-        load_entropy_raster(tmp_path / "p")
     with pytest.raises(ValueError, match="2 f32 band"):
         load_probability_raster(tmp_path / "m")
 

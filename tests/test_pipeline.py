@@ -14,8 +14,8 @@ import mapfuse.pipeline
 from mapfuse.clustering import load_cluster_model
 from mapfuse.fusion import fuse, fused_label_map
 from mapfuse.grids import GridShape, LabelRaster
-from mapfuse.io import (load_probability_raster, save_label_raster,
-                        save_probability_raster)
+from mapfuse.io import (load_label_raster, load_probability_raster,
+                        save_label_raster, save_probability_raster)
 from mapfuse.pipeline import (PipelineConfig, discover_investigators,
                               load_pipeline_config, plurality_baseline,
                               run_pipeline)
@@ -98,6 +98,29 @@ def test_invalid_k_rejected_before_compute(panel_dir, tmp_path):
     with pytest.raises(ValueError, match="exceeds the 4 investigator"):
         run_pipeline(config_for(panel_dir, tmp_path / "o", k_values=(5,)))
     assert not (tmp_path / "o" / "summary.csv").exists()
+
+
+def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
+                                                      monkeypatch):
+    """A class too small for per_class_samples fails before the pool opens:
+    no kappa fit starts and no manifest is written."""
+    ref = load_label_raster(panel_dir / "truth")
+    n = ref.shape.n_classes
+    counts = np.bincount(ref.values.ravel(), minlength=n)[:n]    # NODATA dropped
+    smallest = int(np.argmin(np.where(counts > 0, counts, counts.max() + 1)))
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return estimate_weights(*args, **kwargs)
+
+    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", counting_fit)
+    with pytest.raises(ValueError) as info:
+        run_pipeline(config_for(panel_dir, tmp_path / "o",
+                                per_class_samples=int(counts[smallest]) + 1))
+    assert f"class {ref.shape.class_names[smallest]!r} has only" in str(info.value)
+    assert fits == []
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_missing_reference(panel_dir, tmp_path):

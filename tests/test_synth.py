@@ -113,7 +113,7 @@ def test_softness_controls_entropy():
     soft, sharp = (generate_investigator(truth, InvestigatorSpec(
         noise_rate=0.1, confusion_kernel=uniform_kernel(4),
         softness=s, seed=11)) for s in (2.5, 25.0))
-    assert entropy_map(soft).values.mean() > entropy_map(sharp).values.mean() + 0.5
+    assert entropy_map(soft).mean() > entropy_map(sharp).mean() + 0.5
 
 
 def test_investigator_is_deterministic():
