@@ -24,89 +24,53 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .grids import NODATA, LabelRaster, _freeze
+from .grids import LabelRaster, pair_counts
 from .io import write_csv
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray        # (C, C) rows=classified, cols=reference
-    class_names: tuple
+class Accuracy:
+    """Rates of one confusion table, or of a stack of them along leading axes."""
 
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] != len(self.class_names):
-            raise ValueError(f"bad confusion shape {c.shape}")
-        if (c < 0).any():
-            raise ValueError("negative counts")
-        if c.sum() == 0:
-            raise ValueError("empty confusion matrix")
-        object.__setattr__(self, "counts", _freeze(c))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    overall: float
-    users: np.ndarray         # (C,) NaN where the class was never predicted
-    producers: np.ndarray     # (C,) NaN where the class is absent from the reference
-
-    def __post_init__(self):
-        object.__setattr__(self, "users", _freeze(np.asarray(self.users, dtype=np.float64)))
-        object.__setattr__(self, "producers", _freeze(np.asarray(self.producers, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    overall: np.ndarray       # (n,) OA of each iteration
-    users: np.ndarray         # (n, C) NaN where iteration i never predicted the class
-    producers: np.ndarray     # (n, C) NaN where the class is absent from the reference
+    overall: np.ndarray       # leading shape: 0-d for one table, (n,) for n
+    users: np.ndarray         # (..., C) NaN where the class was never predicted
+    producers: np.ndarray     # (..., C) NaN where the class is absent from the reference
 
     def __post_init__(self):
         for name in ("overall", "users", "producers"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), np.float64)))
-
-    @property
-    def n_iterations(self) -> int:
-        return self.overall.size
+            a = np.array(getattr(self, name), dtype=np.float64)  # 0-d stays 0-d
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
-def confusion(pred: LabelRaster, ref: LabelRaster, sample_indices=None) -> ConfusionMatrix:
-    """Count classified-vs-reference pairs, skipping NODATA on either side."""
+def confusion(pred: LabelRaster, ref: LabelRaster) -> np.ndarray:
+    """(C, C) counts of (classified, reference) pairs, skipping NODATA on either side."""
     if pred.shape != ref.shape:
         raise ValueError(f"shape mismatch: {pred.shape} != {ref.shape}")
-    p = pred.values.ravel()
-    r = ref.values.ravel()
-    if sample_indices is not None:
-        idx = np.asarray(sample_indices, dtype=np.int64)
-        if len(idx) and (idx.min() < 0 or idx.max() >= p.size):
-            raise ValueError("sample index out of range")
-        p, r = p[idx], r[idx]
-    keep = (p != NODATA) & (r != NODATA)
-    p, r = p[keep], r[keep]
-    if p.size == 0:
+    counts = pair_counts(pred.values.reshape(1, -1), ref.values.reshape(1, -1),
+                         pred.shape.n_classes)[0]
+    if not counts.any():
         raise ValueError("no valid pixels in sample")
-    n = pred.shape.n_classes
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (p.astype(np.int64), r.astype(np.int64)), 1)
-    return ConfusionMatrix(counts, pred.shape.class_names)
+    return counts
 
 
-def _rates(counts: np.ndarray):
-    """(overall, users, producers) of confusion counts over the last two axes."""
-    c = counts.astype(np.float64)
+def accuracy_report(counts) -> Accuracy:
+    """Accuracy of a (C, C) table of counts, rows classified and columns
+    reference, or of a stack of tables along leading axes."""
+    c = np.asarray(counts)
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
+        raise ValueError(f"bad confusion shape {c.shape}")
+    if (c < 0).any():
+        raise ValueError("negative counts")
+    if not c.any(axis=(-2, -1)).all():
+        raise ValueError("no valid pixels in sample: empty confusion matrix")
     diag = np.diagonal(c, axis1=-2, axis2=-1)
     rows = c.sum(axis=-1)
     cols = c.sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         users = np.where(rows > 0, diag / rows, np.nan)
         producers = np.where(cols > 0, diag / cols, np.nan)
-    return diag.sum(axis=-1) / c.sum(axis=(-2, -1)), users, producers
-
-
-def accuracy_report(cm: ConfusionMatrix) -> AccuracyReport:
-    overall, users, producers = _rates(cm.counts)
-    return AccuracyReport(overall=float(overall), users=users, producers=producers)
+    return Accuracy(diag.sum(axis=-1) / c.sum(axis=(-2, -1)), users, producers)
 
 
 def stratified_samples(ref: LabelRaster, n_iterations: int, per_class: int,
@@ -141,20 +105,15 @@ def stratified_samples(ref: LabelRaster, n_iterations: int, per_class: int,
 
 
 def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
-                       per_class: int, seed: int) -> MonteCarloResult:
-    """Iteration i scores pred on row i of ``stratified_samples``, all rows
-    counted in one (n, C, C) confusion cube that skips NODATA predictions
-    (the sampled reference pixels are never NODATA)."""
+                       per_class: int, seed: int) -> Accuracy:
+    """Iteration i scores pred on row i of ``stratified_samples``; the result
+    has a leading iteration axis."""
     if pred.shape != ref.shape:
         raise ValueError(f"shape mismatch: {pred.shape} != {ref.shape}")
     idx = stratified_samples(ref, n_iterations, per_class, seed)
-    p, r = pred.values.ravel()[idx], ref.values.ravel()[idx]
-    n = ref.shape.n_classes
-    cell = (np.arange(n_iterations)[:, None] * n + p) * n + r   # int64, not u8
-    counts = np.bincount(cell[p != NODATA], minlength=n_iterations * n * n).reshape(-1, n, n)
-    if not counts.any(axis=(1, 2)).all():
-        raise ValueError("no valid pixels in sample")
-    return MonteCarloResult(*_rates(counts))
+    counts = pair_counts(pred.values.ravel()[idx], ref.values.ravel()[idx],
+                         ref.shape.n_classes)
+    return accuracy_report(counts)
 
 
 def paired_t_test(a, b) -> tuple[float, float, int]:
@@ -180,9 +139,9 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     return t, p, df
 
 
-def write_mc_csv(result: MonteCarloResult, class_names, path) -> None:
+def write_mc_csv(result: Accuracy, class_names, path) -> None:
     """One row per iteration: iter,oa,ua_<class>...,pa_<class>... (NaN -> empty)."""
     header = ["iter", "oa"] + [f"ua_{n}" for n in class_names] \
         + [f"pa_{n}" for n in class_names]
-    rows = zip(range(result.n_iterations), result.overall, result.users, result.producers)
+    rows = zip(range(len(result.overall)), result.overall, result.users, result.producers)
     write_csv(path, header, ([i, oa, *ua, *pa] for i, oa, ua, pa in rows))

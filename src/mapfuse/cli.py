@@ -17,6 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .accuracy import accuracy_report, confusion, monte_carlo_assess
+from .clustering import entropy_features, entropy_map, kmeans_cluster, kmedoids_cluster
+from .fusion import fuse, fused_label_map
+from .io import (load_label_raster, load_probability_raster, save_entropy_raster,
+                 save_label_raster, save_probability_raster)
+from .landscape import edge_table
+from .pipeline import discover_investigators, load_pipeline_config, run_pipeline
+from .synth import materialize_scenario
+from .weights import estimate_weights, load_weights_csv, save_weights_csv
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mapfuse", description=__doc__)
@@ -58,20 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    from .synth import materialize_scenario
-
     truth, rasters = materialize_scenario(args.scenario, args.output)
     print(f"wrote truth + {len(rasters)} investigator rasters to {args.output}")
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    from .clustering import entropy_features, kmeans_cluster, kmedoids_cluster
-    from .fusion import fuse, fused_label_map
-    from .io import save_label_raster, save_probability_raster, load_probability_raster
-    from .pipeline import discover_investigators
-    from .weights import estimate_weights, load_weights_csv, save_weights_csv
-
     named = discover_investigators(args.input)
     ids = [n for n, _ in named]
     maps = [load_probability_raster(p) for _, p in named]
@@ -118,9 +120,6 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    from .clustering import entropy_map
-    from .io import load_probability_raster, save_entropy_raster
-
     raster = load_probability_raster(args.input)
     save_entropy_raster(raster.shape, entropy_map(raster), args.output)
     print(f"wrote entropy raster to {args.output}")
@@ -128,9 +127,6 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_assess(args) -> int:
-    from .accuracy import accuracy_report, confusion, monte_carlo_assess
-    from .io import load_label_raster
-
     pred = load_label_raster(args.pred)
     ref = load_label_raster(args.ref)
     full = accuracy_report(confusion(pred, ref))
@@ -147,9 +143,6 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_iji(args) -> int:
-    from .io import load_label_raster
-    from .landscape import edge_table
-
     table = edge_table(load_label_raster(args.map))
     value = table.iji
     shown = "undefined" if np.isnan(value) else f"{value:.6f}"
@@ -158,8 +151,6 @@ def _cmd_iji(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .pipeline import load_pipeline_config, run_pipeline
-
     bundle = run_pipeline(load_pipeline_config(args.config))
     print(f"pipeline complete: {len(bundle['variants'])} variants "
           f"-> {bundle['output_dir']}")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .grids import ProbabilityRaster, _freeze, common_shape
-from .io import is_bare_file_name, write_text_atomic
+from .io import is_bare_file_name, read_json, write_text_atomic
 
 
 def entropy_map(p: ProbabilityRaster) -> np.ndarray:
@@ -222,8 +222,8 @@ def adjusted_rand_index(a, b) -> float:
     n = len(a)
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
-    table = np.zeros((len(ua), len(ub)), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
+    table = np.bincount(ia * len(ub) + ib, minlength=len(ua) * len(ub)).reshape(
+        len(ua), len(ub))
     comb = lambda x: x * (x - 1) / 2.0
     sum_ij = comb(table).sum()
     sum_a = comb(table.sum(axis=1)).sum()
@@ -258,7 +258,7 @@ def save_cluster_model(model: ClusterModel, path) -> None:
 
 def load_cluster_model(path) -> ClusterModel:
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = read_json(path, "cluster model", ("method", "k", "assignment", "inertia", "seed"))
     if doc["method"] == "kmedoids":
         centers = np.asarray(doc["medoid_indices"], dtype=np.int64)
     else:

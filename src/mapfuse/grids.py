@@ -47,8 +47,8 @@ class GridShape:
             raise ValueError(
                 f"expected {self.n_classes} class names, got {len(names)}"
             )
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise ValueError("class names must be distinct and non-empty")
+        if len(set(names)) != len(names) or not all(isinstance(n, str) and n for n in names):
+            raise ValueError("class names must be distinct, non-empty strings")
         object.__setattr__(self, "class_names", tuple(names))
 
     @property
@@ -120,6 +120,16 @@ def common_shape(maps) -> GridShape:
         if m.shape != shape:
             raise ValueError(f"shape mismatch: {m.shape} != {shape}")
     return shape
+
+
+def pair_counts(a, b, n_classes: int) -> np.ndarray:
+    """(n, C, C) int64 counts of the label pairs (a[i, s], b[i, s]) in each
+    row i of two (n, S) label arrays, skipping NODATA on either side."""
+    a, b = np.asarray(a), np.asarray(b)
+    n, c = len(a), n_classes
+    cell = (np.arange(n)[:, None] * c + a) * c + b   # int64 rows: u8 labels never wrap
+    counts = np.bincount(cell[(a != NODATA) & (b != NODATA)], minlength=n * c * c)
+    return counts.reshape(n, c, c)
 
 
 def hard_classify(raster: ProbabilityRaster) -> LabelRaster:

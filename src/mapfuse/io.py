@@ -33,10 +33,11 @@ def is_bare_file_name(name) -> bool:
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
-def write_text_atomic(path, data: str | bytes) -> None:
+def write_text_atomic(path, data: str | bytes, drop=None) -> None:
     """Replace ``path`` with ``data`` (text, or bytes written as they are) via
     a temporary file beside it, named by the OS thread id, so a crash never
-    leaves part of a file; the temporary file is removed if the write fails."""
+    leaves part of a file; the temporary file is removed if the write fails.
+    The file at ``drop``, if given, is removed just before the rename."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{threading.get_native_id()}.tmp")
     try:
@@ -44,6 +45,8 @@ def write_text_atomic(path, data: str | bytes) -> None:
             tmp.write_bytes(data)
         else:
             tmp.write_text(data)
+        if drop is not None:
+            Path(drop).unlink(missing_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -86,9 +89,24 @@ def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> Non
         "byte_order": "little",
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    # payload first, each file replaced whole: a header never precedes its payload
-    write_text_atomic(path, np.ascontiguousarray(payload).tobytes())
+    # the old header goes just before the new payload lands: a failure before
+    # that rename leaves the old pair whole, one after it leaves no header
+    write_text_atomic(path, np.ascontiguousarray(payload).tobytes(), drop=_header_path(path))
     write_text_atomic(_header_path(path), json.dumps(header, indent=None, sort_keys=True))
+
+
+def read_json(path, what: str, required=()) -> dict:
+    """The JSON object in the file at ``path``; a syntax error, another kind of
+    document or a missing ``required`` key raises a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what} {path}: expected a JSON object")
+    if missing := set(required) - doc.keys():
+        raise ValueError(f"{what} missing {sorted(missing)} in {path}")
+    return doc
 
 
 def read_header(path) -> tuple[GridShape, dict]:
@@ -97,20 +115,13 @@ def read_header(path) -> tuple[GridShape, dict]:
     if str(path) == "":
         raise ValueError("empty raster path")
     path = Path(path)
-    try:
-        header = json.loads(_header_path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed header for {path}: {exc}") from exc
-    required = {"width", "height", "bands", "dtype", "class_names", "nodata", "byte_order"}
-    missing = required - header.keys() if isinstance(header, dict) else required
-    if missing:
-        raise ValueError(f"malformed header for {path}: missing {sorted(missing)}")
+    header = read_json(_header_path(path), "header", ("width", "height", "bands", "dtype",
+                                                      "class_names", "nodata", "byte_order"))
     if header["byte_order"] != "little":
         raise ValueError(f"unsupported byte order {header['byte_order']!r} in {path}")
     w, h, b, names, nodata = (header[k] for k in
                               ("width", "height", "bands", "class_names", "nodata"))
-    if not (all(type(v) is int and v > 0 for v in (w, h, b))
-            and isinstance(names, list) and all(isinstance(n, str) for n in names)
+    if not (all(type(v) is int and v > 0 for v in (w, h, b)) and isinstance(names, list)
             and (nodata is None or type(nodata) is int and nodata == NODATA)):
         raise ValueError(f"malformed header for {path}: width, height and bands must "
                          f"be positive integers, class_names a list of strings and "

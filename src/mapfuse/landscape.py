@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import NODATA, LabelRaster, _freeze
+from .grids import NODATA, LabelRaster, _freeze, pair_counts
 from .io import write_csv
 
 
@@ -61,14 +61,12 @@ class EdgeTable:
 
 def edge_table(raster: LabelRaster) -> EdgeTable:
     v = raster.values
-    n = raster.shape.n_classes
-    e = np.zeros((n, n), dtype=np.int64)
-    for a, b in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])):
-        keep = (a != NODATA) & (b != NODATA) & (a != b)
-        lo = np.minimum(a[keep], b[keep]).astype(np.int64)
-        hi = np.maximum(a[keep], b[keep]).astype(np.int64)
-        np.add.at(e, (lo, hi), 1)
-    e = e + e.T
+    # one row of the rook pairs with differing labels: (left, right), then (upper, lower)
+    first = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])
+    second = np.concatenate([v[:, 1:].ravel(), v[1:, :].ravel()])
+    edge = first != second
+    c = pair_counts(first[edge][None], second[edge][None], raster.shape.n_classes)[0]
+    e = c + c.T
     present = np.unique(v[v != NODATA])
     return EdgeTable(present=tuple(int(c) for c in present), e=e)
 

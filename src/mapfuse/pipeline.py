@@ -30,8 +30,8 @@ from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
 from .fusion import fuse, fused_label_map
 from .grids import LabelRaster, common_shape, hard_classify
 from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
-                 read_header, save_label_raster, save_probability_raster, write_csv,
-                 write_text_atomic)
+                 read_header, read_json, save_label_raster, save_probability_raster,
+                 write_csv, write_text_atomic)
 from .landscape import edge_table, write_iji_csv
 from .weights import estimate_weights, save_weights_csv
 
@@ -53,7 +53,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        paths = (self.input_dir, self.reference, self.output_dir)
+        ints = (*self.k_values, self.mc_iterations, self.per_class_samples, self.seed)
+        if not (all(isinstance(v, str) for v in paths) and all(type(v) is int for v in ints)):
+            raise ValueError("input_dir, reference and output_dir must be strings, and "
+                             "k_values, mc_iterations, per_class_samples and seed integers")
+        object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "fusion_modes", tuple(self.fusion_modes))
         for k in self.k_values:
@@ -72,15 +77,14 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path) -> PipelineConfig:
-    doc = json.loads(Path(path).read_text())
-    known = {f for f in PipelineConfig.__dataclass_fields__}
-    unknown = doc.keys() - known
+    doc = read_json(path, "config", ("input_dir", "reference", "output_dir"))
+    unknown = doc.keys() - PipelineConfig.__dataclass_fields__.keys()
     if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}")
-    missing = {"input_dir", "reference", "output_dir"} - doc.keys()
-    if missing:
-        raise ValueError(f"config missing {sorted(missing)}")
-    return PipelineConfig(**doc)
+        raise ValueError(f"unknown config keys {sorted(unknown)} in {path}")
+    try:
+        return PipelineConfig(**doc)
+    except (TypeError, ValueError) as exc:       # TypeError: say, methods given as 3
+        raise ValueError(f"malformed config {path}: {exc}") from exc
 
 
 def discover_investigators(input_dir):
@@ -94,8 +98,7 @@ def discover_investigators(input_dir):
         raise ValueError(f"input directory {d} does not exist")
     index = d / "index.json"
     if index.exists():
-        doc = json.loads(index.read_text())
-        names = doc.get("investigators") if isinstance(doc, dict) else None
+        names = read_json(index, "index").get("investigators")
         if not (isinstance(names, list) and all(map(is_bare_file_name, names))):
             raise ValueError(f"malformed {index}: 'investigators' must be a list "
                              "of file names in that directory")

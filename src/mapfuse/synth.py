@@ -33,6 +33,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .fusion import regularize
 from .grids import GridShape, LabelRaster, ProbabilityRaster
+from .io import read_json, save_label_raster, save_probability_raster, write_text_atomic
 
 __all__ = [
     "SceneSpec", "InvestigatorSpec", "generate_scene", "generate_investigator",
@@ -215,11 +216,17 @@ def generate_investigator(truth: LabelRaster, spec: InvestigatorSpec) -> Probabi
                                                   shape.n_classes))
 
 
+def _checked(value, kind):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _kernel_from_json(entry, n_classes: int) -> np.ndarray:
     if entry == "uniform":
         return uniform_kernel(n_classes)
     if isinstance(entry, dict) and "style" in entry:
-        return style_kernel(n_classes, int(entry["style"]))
+        return style_kernel(n_classes, _checked(entry["style"], int))
     k = np.asarray(entry, dtype=np.float64)
     if k.shape != (n_classes, n_classes):
         raise ValueError(f"kernel must be {n_classes}x{n_classes}")
@@ -227,14 +234,16 @@ def _kernel_from_json(entry, n_classes: int) -> np.ndarray:
 
 
 def load_scenario(path):
-    """Parse a scenario JSON into (SceneSpec, [(map_id, InvestigatorSpec), ...])."""
-    doc = json.loads(Path(path).read_text())
+    """Parse a scenario JSON into (SceneSpec, [(map_id, InvestigatorSpec), ...]);
+    a missing or wrongly typed field raises a ValueError naming the file."""
+    doc = read_json(path, "scenario", ("scene", "investigators"))
     try:
         sc = doc["scene"]
-        shape = GridShape(sc["width"], sc["height"], len(sc["class_names"]),
-                          tuple(sc["class_names"]))
-        scene = SceneSpec(shape=shape, n_blobs=sc["n_blobs"],
-                          class_mix=tuple(sc["class_mix"]), seed=sc["seed"])
+        names = _checked(sc["class_names"], list)
+        shape = GridShape(_checked(sc["width"], int), _checked(sc["height"], int),
+                          len(names), tuple(names))
+        scene = SceneSpec(shape=shape, n_blobs=_checked(sc["n_blobs"], int),
+                          class_mix=tuple(sc["class_mix"]), seed=_checked(sc["seed"], int))
         investigators = []
         for inv in doc["investigators"]:
             spec = InvestigatorSpec(
@@ -242,14 +251,16 @@ def load_scenario(path):
                 confusion_kernel=_kernel_from_json(inv.get("kernel", "uniform"),
                                                    shape.n_classes),
                 softness=inv["softness"],
-                seed=inv["seed"],
+                seed=_checked(inv["seed"], int),
             )
-            investigators.append((inv["id"], spec))
+            investigators.append((_checked(inv["id"], str), spec))
     except KeyError as exc:
-        raise ValueError(f"scenario missing field {exc}") from exc
+        raise ValueError(f"scenario missing field {exc} in {path}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed scenario {path}: {exc}") from exc
     ids = [i for i, _ in investigators]
     if len(set(ids)) != len(ids):
-        raise ValueError("duplicate investigator ids")
+        raise ValueError(f"duplicate investigator ids in {path}")
     return scene, investigators
 
 
@@ -259,8 +270,6 @@ def materialize_scenario(path, out_dir):
     Produces truth + one probability raster per investigator plus an
     index.json naming them; returns (truth, [(id, raster), ...]).
     """
-    from .io import save_label_raster, save_probability_raster
-
     scene, investigators = load_scenario(path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,7 +281,7 @@ def materialize_scenario(path, out_dir):
         save_probability_raster(raster, out / map_id)
         rasters.append((map_id, raster))
     index = {"truth": "truth", "investigators": [i for i, _ in investigators]}
-    (out / "index.json").write_text(json.dumps(index, indent=2))
+    write_text_atomic(out / "index.json", json.dumps(index, indent=2))
     return truth, rasters
 
 

@@ -282,8 +282,7 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
                           iterations=it, converged=converged, trace=trace)
 
 
-def save_weights_csv(estimate: WeightEstimate, path, ids=None) -> None:
-    ids = ids if ids is not None else [f"inv{j}" for j in range(len(estimate.kappa))]
+def save_weights_csv(estimate: WeightEstimate, path, ids) -> None:
     if len(ids) != len(estimate.kappa):
         raise ValueError("one id per investigator required")
     write_csv(path, ["investigator_id", "kappa"],

@@ -63,14 +63,14 @@ def test_fuse_auto_weights_warns_when_fit_did_not_converge(work, capsys,
                                                           monkeypatch):
     import dataclasses
 
-    import mapfuse.weights
+    import mapfuse.cli
 
-    fit = mapfuse.weights.estimate_weights
+    fit = mapfuse.cli.estimate_weights
 
     def unconverged(*args, **kwargs):
         return dataclasses.replace(fit(*args, **kwargs), converged=False)
 
-    monkeypatch.setattr(mapfuse.weights, "estimate_weights", unconverged)
+    monkeypatch.setattr(mapfuse.cli, "estimate_weights", unconverged)
     rc = main(["fuse", "-i", str(work / "data"), "-o", str(work / "fnc"),
                "--weights", "auto"])
     assert rc == 0
@@ -227,6 +227,58 @@ def test_pipeline_command(work, capsys):
 
     rc = main(["pipeline", str(work / "absent.json")])
     assert rc == 2
+
+
+def _scene(doc, **fields):
+    return {**doc, "scene": {**doc["scene"], **fields}}
+
+
+def _investigator(doc, **fields):
+    return {**doc, "investigators": [{**doc["investigators"][0], **fields},
+                                     *doc["investigators"][1:]]}
+
+
+@pytest.mark.parametrize("command,edit", [
+    pytest.param("pipeline", "{not json", id="config-syntax"),
+    pytest.param("pipeline", lambda d: [1], id="config-not-an-object"),
+    pytest.param("pipeline", lambda d: {**d, "k_values": 3}, id="k_values-int"),
+    pytest.param("pipeline", lambda d: {**d, "k_values": [2.7]}, id="k-float"),
+    pytest.param("pipeline", lambda d: {**d, "k_values": [True, 2]}, id="k-bool"),
+    pytest.param("pipeline", lambda d: {**d, "mc_iterations": "5"}, id="mc-str"),
+    pytest.param("pipeline", lambda d: {**d, "seed": "x"}, id="seed-str"),
+    pytest.param("pipeline", lambda d: {**d, "per_class_samples": 2.5}, id="per-class-float"),
+    pytest.param("pipeline", lambda d: {**d, "input_dir": 3}, id="input_dir-int"),
+    pytest.param("pipeline", lambda d: {**d, "methods": 3}, id="methods-int"),
+    pytest.param("simulate", "{not json", id="scenario-syntax"),
+    pytest.param("simulate", lambda d: [1], id="scenario-not-an-object"),
+    pytest.param("simulate", lambda d: _scene(d, seed="x"), id="scene-seed-str"),
+    pytest.param("simulate", lambda d: _scene(d, width=2.5), id="scene-width-float"),
+    pytest.param("simulate", lambda d: _scene(d, class_names="abcd"), id="names-str"),
+    pytest.param("simulate", lambda d: _scene(d, class_names=[1, 2, 3, 4]), id="names-int"),
+    pytest.param("simulate", lambda d: _investigator(d, id=3), id="investigator-id-int"),
+    pytest.param("simulate", lambda d: _investigator(d, seed=1.5), id="investigator-seed"),
+    pytest.param("simulate", lambda d: _investigator(d, noise_rate="0.1"), id="noise-str"),
+    pytest.param("fuse", "{not json", id="index-syntax"),
+    pytest.param("fuse", lambda d: [1], id="index-not-an-object"),
+])
+def test_malformed_json_input_exits_2_naming_the_file(work, capsys, tmp_path,
+                                                       command, edit):
+    """A config, scenario or index.json that is not valid JSON, not an
+    object, or holds a wrongly typed field gives exit 2 and one error line
+    naming the file, before any work starts."""
+    source = {"pipeline": work / "pipeline.json", "simulate": work / "scenario.json",
+              "fuse": work / "data" / "index.json"}[command]
+    target = tmp_path / source.name
+    target.write_text(edit if isinstance(edit, str)
+                      else json.dumps(edit(json.loads(source.read_text()))))
+    out = tmp_path / "out"
+    rc = main({"pipeline": ["pipeline", str(target)],
+               "simulate": ["simulate", str(target), "-o", str(out)],
+               "fuse": ["fuse", "-i", str(tmp_path), "-o", str(out)]}[command])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2, err
+    assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0], err
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_1(work, capsys, tmp_path):

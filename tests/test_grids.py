@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
-                           ProbabilityRaster, hard_classify)
+                           ProbabilityRaster, hard_classify, pair_counts)
 
 from conftest import make_prob
 
@@ -95,3 +95,29 @@ def test_hard_classify_matches_argmax(seed):
     p = g / g.sum(axis=2, keepdims=True)
     assert (hard_classify(make_prob(p)).values == p.argmax(axis=2)).all()
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=2, max_value=MAX_CLASSES))
+def test_pair_counts_matches_add_at(seed, n, s, c):
+    """Oracle: one np.add.at per valid pair. NODATA sits on either side, and
+    row 0 (when there is one) holds no valid pair, so its table is all zeros."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, c, size=(n, s)).astype(np.uint8)
+    b = rng.integers(0, c, size=(n, s)).astype(np.uint8)
+    a[rng.random(size=(n, s)) < 0.2] = NODATA
+    b[rng.random(size=(n, s)) < 0.2] = NODATA
+    if n:
+        a[0, ::2] = NODATA
+        b[0, 1::2] = NODATA
+    want = np.zeros((n, c, c), dtype=np.int64)
+    i, j = np.nonzero((a != NODATA) & (b != NODATA))
+    np.add.at(want, (i, a[i, j].astype(np.int64), b[i, j].astype(np.int64)), 1)
+    got = pair_counts(a, b, c)
+    assert got.dtype == np.int64 and got.shape == (n, c, c)
+    assert (got == want).all()
+    if n:
+        assert not got[0].any()

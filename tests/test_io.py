@@ -184,6 +184,25 @@ def test_failed_payload_write_keeps_the_old_pair(tmp_path, monkeypatch):
     assert sorted(old) == ["m", "m.json"]
 
 
+def test_failed_header_overwrite_leaves_no_header(tmp_path, monkeypatch):
+    """The old header is removed before the new payload takes its place, so
+    a failure writing the new header leaves a payload that every loader
+    refuses, never the new payload under the old header (both are 4 bytes
+    here, so the loader's byte count could not tell them apart)."""
+    save_label_raster(make_labels([[0, 1, 0, 1]], n_classes=2), tmp_path / "m")
+
+    def failing(self, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_label_raster(make_labels([[1, 1], [0, 0]], n_classes=2), tmp_path / "m")
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError):
+        load_label_raster(tmp_path / "m")
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+
 def test_loader_regularizes_zeros(tmp_path):
     shape = GridShape(1, 1, 3, ("a", "b", "c"))
     # hand-write a pair whose pixel contains an exact zero
