@@ -12,9 +12,9 @@ from .accuracy import (Accuracy, accuracy_report, confusion, monte_carlo_assess,
 from .clustering import (ClusterModel, EntropyFeatureMatrix, adjusted_rand_index,
                          entropy_features, entropy_map, kmeans_cluster,
                          kmedoids_cluster)
-from .fusion import PosteriorField, fuse, fused_label_map, regularize
+from .fusion import fuse, fused_label_map
 from .grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster, ProbabilityRaster,
-                    common_shape, hard_classify, pair_counts)
+                    common_shape, hard_classify, pair_counts, regularize)
 from .landscape import EdgeTable, edge_table, iji
 from .pipeline import PipelineConfig, plurality_baseline, run_pipeline
 from .synth import (InvestigatorSpec, SceneSpec, generate_investigator,

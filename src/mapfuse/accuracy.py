@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .grids import LabelRaster, pair_counts
+from .grids import LabelRaster, common_shape, pair_counts
 from .io import write_csv
 
 
@@ -45,8 +45,7 @@ class Accuracy:
 
 def confusion(pred: LabelRaster, ref: LabelRaster) -> np.ndarray:
     """(C, C) counts of (classified, reference) pairs, skipping NODATA on either side."""
-    if pred.shape != ref.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} != {ref.shape}")
+    common_shape([ref, pred])
     counts = pair_counts(pred.values.reshape(1, -1), ref.values.reshape(1, -1),
                          pred.shape.n_classes)[0]
     if not counts.any():
@@ -108,8 +107,7 @@ def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
                        per_class: int, seed: int) -> Accuracy:
     """Iteration i scores pred on row i of ``stratified_samples``; the result
     has a leading iteration axis."""
-    if pred.shape != ref.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} != {ref.shape}")
+    common_shape([ref, pred])
     idx = stratified_samples(ref, n_iterations, per_class, seed)
     counts = pair_counts(pred.values.ravel()[idx], ref.values.ravel()[idx],
                          ref.shape.n_classes)

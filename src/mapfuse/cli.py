@@ -112,9 +112,9 @@ def _cmd_fuse(args) -> int:
             raise ValueError(f"weights CSV lacks entries for {missing}")
         weights = np.array([table[i] for i in ids])
 
-    posterior = fuse(maps, weights=weights)
-    save_probability_raster(posterior.mean, out / "fused_prob")
-    save_label_raster(fused_label_map(posterior), out / "fused_label")
+    mean = fuse(maps, weights=weights)
+    save_probability_raster(mean, out / "fused_prob")
+    save_label_raster(fused_label_map(mean), out / "fused_label")
     print(f"fused {len(maps)} maps -> {out / 'fused_prob'}, {out / 'fused_label'}")
     return 0
 
@@ -127,6 +127,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_assess(args) -> int:
+    if args.mc is not None and args.mc < 2:
+        raise ValueError(f"--mc must be at least 2 to give a spread, got {args.mc}")
     pred = load_label_raster(args.pred)
     ref = load_label_raster(args.ref)
     full = accuracy_report(confusion(pred, ref))

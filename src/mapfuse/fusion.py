@@ -17,45 +17,15 @@ sum over the panel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import (GridShape, LabelRaster, ProbabilityRaster, _freeze, common_shape,
-                    hard_classify)
-
-DEFAULT_EPSILON = 1e-10
+from .grids import LabelRaster, ProbabilityRaster, common_shape, hard_classify
 
 
-@dataclass(frozen=True)
-class PosteriorField:
-    """Fusion output: per-pixel posterior concentrations and their mean."""
-
-    shape: GridShape
-    alpha: np.ndarray          # (H, W, C) posterior concentration
-    mean: ProbabilityRaster    # posterior mean, a proper probability raster
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _freeze(np.asarray(self.alpha, dtype=np.float64)))
-
-
-def regularize(values) -> np.ndarray:
-    """A float64 copy with zeros replaced by DEFAULT_EPSILON and each pixel
-    (last axis) renormalized, so vectors stay strictly inside the simplex and
-    zero-count conjugate updates stay finite. Negative values raise; NaN and
-    Inf pass through for ProbabilityRaster to reject."""
-    out = np.array(values, dtype=np.float64)     # a copy in the input's layout
-    if (out < 0).any():
-        raise ValueError("negative probability")
-    out[out == 0.0] = DEFAULT_EPSILON
-    with np.errstate(invalid="ignore"):
-        out /= out.sum(axis=-1, keepdims=True)
-    return out
-
-
-def fuse(maps, weights=None) -> PosteriorField:
-    """Fuse probability rasters into a posterior field under the flat
-    Dirichlet prior (alpha = 1 for every class).
+def fuse(maps, weights=None) -> ProbabilityRaster:
+    """Fuse probability rasters under the flat Dirichlet prior (alpha = 1 for
+    every class) into the posterior mean; the posterior concentration is
+    alpha_post = mean * (C + W).
 
     weights : per-map positive weights, one per raster; defaults to all
     ones (each map counts as a single observation).
@@ -74,10 +44,10 @@ def fuse(maps, weights=None) -> PosteriorField:
     # accumulated map by map: no (J, H, W, C) copy of the panel
     evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
     alpha_post = 1.0 + evidence
-    mean = ProbabilityRaster(shape, alpha_post / (shape.n_classes + w.sum()))
-    return PosteriorField(shape=shape, alpha=alpha_post, mean=mean)
+    return ProbabilityRaster(shape, alpha_post / (shape.n_classes + w.sum()))
 
 
-def fused_label_map(posterior: PosteriorField) -> LabelRaster:
+# only hard_classify, kept by name: perfbench traces it and scripts call it
+def fused_label_map(mean: ProbabilityRaster) -> LabelRaster:
     """Hard consensus map: per-pixel argmax of the posterior mean."""
-    return hard_classify(posterior.mean)
+    return hard_classify(mean)

@@ -17,6 +17,8 @@ NODATA = 255
 
 MAX_CLASSES = 255  # NODATA occupies the last u8 code
 
+DEFAULT_EPSILON = 1e-10
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -62,7 +64,7 @@ class ProbabilityRaster:
 
     ``values`` has shape (height, width, n_classes), float64. Construction
     checks finiteness, non-negativity and unit sums (loose 1e-6 tolerance;
-    regularization tightens this to 1e-9, see :func:`mapfuse.fusion.regularize`).
+    regularization tightens this to 1e-9, see :func:`regularize`).
     There is no NODATA here: absent coverage must be masked upstream.
     """
 
@@ -82,6 +84,20 @@ class ProbabilityRaster:
         if np.abs(sums - 1.0).max() > 1e-6:
             raise ValueError("pixel probability vectors must sum to 1")
         object.__setattr__(self, "values", _freeze(v))
+
+
+def regularize(values) -> np.ndarray:
+    """A float64 copy with zeros replaced by DEFAULT_EPSILON and each pixel
+    (last axis) renormalized, so vectors stay strictly inside the simplex and
+    zero-count conjugate updates stay finite. Negative values raise; NaN and
+    Inf pass through for ProbabilityRaster to reject."""
+    out = np.array(values, dtype=np.float64)     # a copy in the input's layout
+    if (out < 0).any():
+        raise ValueError("negative probability")
+    out[out == 0.0] = DEFAULT_EPSILON
+    with np.errstate(invalid="ignore"):
+        out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 @dataclass(frozen=True)

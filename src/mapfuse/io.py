@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fusion import regularize
-from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster
+from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster, regularize
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
@@ -161,7 +160,7 @@ def load_probability_raster(path) -> ProbabilityRaster:
     """Load and validate a probability stack, regularizing on the way in.
 
     Zero components are replaced by a tiny epsilon and every pixel vector
-    is renormalized to sum to one (``fusion.regularize``), so downstream
+    is renormalized to sum to one (``grids.regularize``), so downstream
     Dirichlet math never sees a zero probability. Negative samples fail
     there, NaN and Inf in ProbabilityRaster's check; either error names
     the path.

@@ -70,8 +70,8 @@ class PipelineConfig:
         bad = set(self.fusion_modes) - set(MODES)
         if bad:
             raise ValueError(f"unknown fusion modes {sorted(bad)}")
-        if self.mc_iterations < 1:
-            raise ValueError("mc_iterations must be >= 1")
+        if self.mc_iterations < 2:
+            raise ValueError("mc_iterations must be >= 2: the t-tests pair iterations")
         if self.per_class_samples < 1:
             raise ValueError("per_class_samples must be >= 1")
 
@@ -99,9 +99,10 @@ def discover_investigators(input_dir):
     index = d / "index.json"
     if index.exists():
         names = read_json(index, "index").get("investigators")
-        if not (isinstance(names, list) and all(map(is_bare_file_name, names))):
+        if not (isinstance(names, list) and all(map(is_bare_file_name, names))
+                and len(set(names)) == len(names)):
             raise ValueError(f"malformed {index}: 'investigators' must be a list "
-                             "of file names in that directory")
+                             "of distinct file names in that directory")
         return [(n, d / n) for n in names]
     found = []
     for sidecar in sorted(d.glob("*.json")):
@@ -110,8 +111,8 @@ def discover_investigators(input_dir):
             continue
         _, header = read_header(payload)
         if (header["dtype"] == "f32" and header["bands"] > 1
-                and payload.stem not in ("truth", "reference")):
-            found.append((payload.stem, payload))
+                and payload.name not in ("truth", "reference")):
+            found.append((payload.name, payload))
     if not found:
         raise ValueError(f"no investigator rasters found in {d}")
     return found
@@ -142,9 +143,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise ValueError(f"map shape {maps[0].shape} != reference {reference.shape}")
     n_maps = len(maps)
 
+    if n_maps < 2 and {"weighted", "clustered"} & set(config.fusion_modes):
+        raise ValueError("weighting and clustering require at least 2 investigator maps")
     if "clustered" in config.fusion_modes:
-        if n_maps < 2:
-            raise ValueError("clustering requires at least 2 investigator maps")
         for k in config.k_values:
             if k > n_maps:
                 raise ValueError(f"k={k} exceeds the {n_maps} investigator maps")
@@ -210,10 +211,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 if key == "weighted":
                     est = weights_future.result()
                     save_weights_csv(est, out / "weights.csv", ids=ids)
-                    posterior = fuse(maps, weights=est.kappa)
+                    prob = fuse(maps, weights=est.kappa)
                 else:
-                    posterior = fuse([maps[i] for i in key])
-                prob, label = posterior.mean, fused_label_map(posterior)
+                    prob = fuse([maps[i] for i in key])
+                label = fused_label_map(prob)
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
                                     config.per_class_samples, config.seed)
             for vid in ids_of[key]:

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .fusion import regularize
-from .grids import GridShape, LabelRaster, ProbabilityRaster
-from .io import read_json, save_label_raster, save_probability_raster, write_text_atomic
+from .grids import GridShape, LabelRaster, ProbabilityRaster, regularize
+from .io import (is_bare_file_name, read_json, save_label_raster, save_probability_raster,
+                 write_text_atomic)
 
 __all__ = [
     "SceneSpec", "InvestigatorSpec", "generate_scene", "generate_investigator",
@@ -216,9 +216,9 @@ def generate_investigator(truth: LabelRaster, spec: InvestigatorSpec) -> Probabi
                                                   shape.n_classes))
 
 
-def _checked(value, kind):
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+def _checked(value, *kinds):
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
 
 
@@ -243,17 +243,21 @@ def load_scenario(path):
         shape = GridShape(_checked(sc["width"], int), _checked(sc["height"], int),
                           len(names), tuple(names))
         scene = SceneSpec(shape=shape, n_blobs=_checked(sc["n_blobs"], int),
-                          class_mix=tuple(sc["class_mix"]), seed=_checked(sc["seed"], int))
+                          class_mix=tuple(_checked(share, int, float)
+                                          for share in _checked(sc["class_mix"], list)),
+                          seed=_checked(sc["seed"], int))
         investigators = []
         for inv in doc["investigators"]:
             spec = InvestigatorSpec(
-                noise_rate=inv["noise_rate"],
+                noise_rate=_checked(inv["noise_rate"], int, float),
                 confusion_kernel=_kernel_from_json(inv.get("kernel", "uniform"),
                                                    shape.n_classes),
-                softness=inv["softness"],
+                softness=_checked(inv["softness"], int, float),
                 seed=_checked(inv["seed"], int),
             )
-            investigators.append((_checked(inv["id"], str), spec))
+            if not is_bare_file_name(map_id := _checked(inv["id"], str)):
+                raise ValueError(f"investigator id {map_id!r} is not a bare file name")
+            investigators.append((map_id, spec))
     except KeyError as exc:
         raise ValueError(f"scenario missing field {exc} in {path}") from exc
     except (TypeError, ValueError) as exc:

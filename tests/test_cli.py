@@ -210,6 +210,12 @@ def test_assess_command(work, capsys):
     rc = main(["assess", "--pred", truth, "--ref", str(work / "missing")])
     assert rc == 2
 
+    # one iteration has no spread to print
+    rc = main(["assess", "--pred", truth, "--ref", truth, "--mc", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "--mc" in captured.err
+
 
 def test_iji_command(work, capsys):
     rc = main(["iji", str(work / "data" / "truth")])
@@ -245,6 +251,7 @@ def _investigator(doc, **fields):
     pytest.param("pipeline", lambda d: {**d, "k_values": [2.7]}, id="k-float"),
     pytest.param("pipeline", lambda d: {**d, "k_values": [True, 2]}, id="k-bool"),
     pytest.param("pipeline", lambda d: {**d, "mc_iterations": "5"}, id="mc-str"),
+    pytest.param("pipeline", lambda d: {**d, "mc_iterations": 1}, id="mc-one"),
     pytest.param("pipeline", lambda d: {**d, "seed": "x"}, id="seed-str"),
     pytest.param("pipeline", lambda d: {**d, "per_class_samples": 2.5}, id="per-class-float"),
     pytest.param("pipeline", lambda d: {**d, "input_dir": 3}, id="input_dir-int"),
@@ -258,8 +265,14 @@ def _investigator(doc, **fields):
     pytest.param("simulate", lambda d: _investigator(d, id=3), id="investigator-id-int"),
     pytest.param("simulate", lambda d: _investigator(d, seed=1.5), id="investigator-seed"),
     pytest.param("simulate", lambda d: _investigator(d, noise_rate="0.1"), id="noise-str"),
+    pytest.param("simulate", lambda d: _investigator(d, noise_rate=False), id="noise-bool"),
+    pytest.param("simulate", lambda d: _investigator(d, softness=True), id="softness-bool"),
+    pytest.param("simulate", lambda d: _scene(d, class_mix=["0.25"] * 4), id="mix-str"),
+    pytest.param("simulate", lambda d: _investigator(d, id="../escaped"), id="id-escapes"),
     pytest.param("fuse", "{not json", id="index-syntax"),
     pytest.param("fuse", lambda d: [1], id="index-not-an-object"),
+    pytest.param("fuse", lambda d: {**d, "investigators": d["investigators"][:1] * 2},
+                 id="index-duplicate-name"),
 ])
 def test_malformed_json_input_exits_2_naming_the_file(work, capsys, tmp_path,
                                                        command, edit):

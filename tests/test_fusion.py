@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mapfuse.fusion import (DEFAULT_EPSILON, PosteriorField, fuse, fused_label_map,
-                            regularize)
-from mapfuse.grids import GridShape, ProbabilityRaster, hard_classify
+from mapfuse.fusion import fuse, fused_label_map
+from mapfuse.grids import (DEFAULT_EPSILON, GridShape, ProbabilityRaster, hard_classify,
+                           regularize)
 
 from conftest import make_prob, random_prob
 
@@ -33,10 +33,11 @@ def test_closed_form_matches_quadrature_on_pinned_case():
             ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
     post = fuse(maps)
     expected = np.array([3.0, 2.0, 1.0]) / 6.0
-    assert np.abs(post.mean.values[0, 0] - expected).max() < 1e-15
-    assert np.abs(post.alpha[0, 0] - (3.0, 2.0, 1.0)).max() < 1e-15
-    grid = simplex_grid_mean(post.alpha[0, 0])
-    assert np.abs(post.mean.values[0, 0] - grid).max() < 1e-2
+    assert np.abs(post.values[0, 0] - expected).max() < 1e-15
+    alpha = 6.0 * post.values[0, 0]                   # (C + W) * mean
+    assert np.abs(alpha - (3.0, 2.0, 1.0)).max() < 1e-15
+    grid = simplex_grid_mean(alpha)
+    assert np.abs(post.values[0, 0] - grid).max() < 1e-2
 
 
 def test_closed_form_matches_quadrature_random_cases():
@@ -46,8 +47,8 @@ def test_closed_form_matches_quadrature_random_cases():
         w = rng.uniform(0.2, 3.0, size=n_maps)
         maps = [random_prob(rng, 1, 1, 3) for _ in range(n_maps)]
         post = fuse(maps, weights=w)
-        grid = simplex_grid_mean(post.alpha[0, 0])
-        assert np.abs(post.mean.values[0, 0] - grid).max() < 1e-2
+        grid = simplex_grid_mean((3 + w.sum()) * post.values[0, 0])
+        assert np.abs(post.values[0, 0] - grid).max() < 1e-2
 
 
 def test_default_weights_are_ones():
@@ -55,8 +56,7 @@ def test_default_weights_are_ones():
     maps = [random_prob(rng, 2, 2, 4) for _ in range(3)]
     a = fuse(maps)
     b = fuse(maps, weights=np.ones(3))
-    assert (a.mean.values == b.mean.values).all()
-    assert a.alpha[0, 0].sum() == pytest.approx(4.0 + 3.0)
+    assert (a.values == b.values).all()
 
 
 def test_permutation_invariance():
@@ -66,8 +66,7 @@ def test_permutation_invariance():
     perm = [3, 0, 4, 1, 2]
     a = fuse(maps, weights=w)
     b = fuse([maps[i] for i in perm], weights=w[perm])
-    assert np.abs(a.mean.values - b.mean.values).max() < 1e-14
-    assert np.abs(a.alpha - b.alpha).max() < 1e-14
+    assert np.abs(a.values - b.values).max() < 1e-14
 
 
 def test_class_relabeling_equivariance():
@@ -77,15 +76,15 @@ def test_class_relabeling_equivariance():
     a = fuse(maps)
     permuted = [ProbabilityRaster(m.shape, m.values[:, :, perm]) for m in maps]
     b = fuse(permuted)
-    assert (a.mean.values[:, :, perm] == b.mean.values).all()
+    assert (a.values[:, :, perm] == b.values).all()
 
 
 def test_one_hot_vote_increases_its_class():
     rng = np.random.default_rng(6)
     maps = [random_prob(rng, 1, 1, 4) for _ in range(3)]
-    before = fuse(maps).mean.values[0, 0]
+    before = fuse(maps).values[0, 0]
     onehot = regularize(np.array([[[0.0, 0.0, 1.0, 0.0]]]))
-    after = fuse(maps + [make_prob(onehot)]).mean.values[0, 0]
+    after = fuse(maps + [make_prob(onehot)]).values[0, 0]
     assert after[2] > before[2]
 
 
@@ -93,7 +92,7 @@ def test_prior_dominance_limit():
     rng = np.random.default_rng(7)
     maps = [random_prob(rng, 2, 2, 4) for _ in range(3)]
     post = fuse(maps, weights=np.full(3, 1e-12))
-    assert np.abs(post.mean.values - 0.25).max() < 1e-9
+    assert np.abs(post.values - 0.25).max() < 1e-9
 
 
 def test_agreement_with_counting():
@@ -106,7 +105,8 @@ def test_agreement_with_counting():
         maps.append(make_prob(regularize(v)))
     post = fuse(maps)
     counts = np.array([3.0, 1.0, 1.0])
-    assert (np.abs((post.alpha[0, 0] - 1.0) - counts).max()
+    alpha = 8.0 * post.values[0, 0]                   # (C + W) * mean
+    assert (np.abs((alpha - 1.0) - counts).max()
             < len(votes) * 3 * DEFAULT_EPSILON)
 
 
@@ -114,9 +114,7 @@ def test_fused_label_map_examples():
     mean = np.array([[[0.5, 1 / 6, 1 / 6, 1 / 6],
                       [0.25, 0.25, 0.25, 0.25],
                       [0.1, 0.2, 0.3, 0.4]]])
-    shape = GridShape(3, 1, 4)
-    post = PosteriorField(shape=shape, alpha=mean * 6.0,
-                          mean=ProbabilityRaster(shape, mean))
+    post = ProbabilityRaster(GridShape(3, 1, 4), mean)
     assert list(fused_label_map(post).values[0]) == [0, 0, 3]
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -74,6 +75,8 @@ def test_config_validation():
         PipelineConfig("i", "r", "o", fusion_modes=("stacked",))
     with pytest.raises(ValueError, match="mc_iterations"):
         PipelineConfig("i", "r", "o", mc_iterations=0)
+    with pytest.raises(ValueError, match="mc_iterations must be >= 2"):
+        PipelineConfig("i", "r", "o", mc_iterations=1)
     with pytest.raises(ValueError, match="per_class_samples"):
         PipelineConfig("i", "r", "o", per_class_samples=0)
 
@@ -120,6 +123,20 @@ def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
                                 per_class_samples=int(counts[smallest]) + 1))
     assert f"class {ref.shape.class_names[smallest]!r} has only" in str(info.value)
     assert fits == []
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["weighted", "clustered"])
+def test_one_map_panel_fails_before_the_pool(panel_dir, tmp_path, mode):
+    """Both modes compare maps, so a one-map panel fails before any set runs."""
+    name = discover_investigators(panel_dir)[0][0]
+    one = tmp_path / "one"
+    one.mkdir()
+    for f in (name, name + ".json"):
+        shutil.copy(panel_dir / f, one / f)
+    with pytest.raises(ValueError, match="require at least 2 investigator maps"):
+        run_pipeline(config_for(one, tmp_path / "o", reference=str(panel_dir / "truth"),
+                                fusion_modes=("unweighted", mode)))
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -387,6 +404,14 @@ def test_discovery_falls_back_to_sidecar_scan(tmp_path):
                       tmp_path / "truth")
     named = discover_investigators(tmp_path)
     assert [n for n, _ in named] == ["alpha", "beta"]
+    # dotted names keep the whole name as the id, and only the exact
+    # reference names are skipped
+    for name in ("inv.a", "inv.b", "truth.v2"):
+        v = rng.dirichlet(np.ones(3), size=(4, 4))
+        save_probability_raster(make_prob(v), tmp_path / name)
+    named = discover_investigators(tmp_path)
+    assert named == [(n, tmp_path / n)
+                     for n in ("alpha", "beta", "inv.a", "inv.b", "truth.v2")]
 
 
 @pytest.mark.parametrize("doc", [
@@ -396,6 +421,7 @@ def test_discovery_falls_back_to_sidecar_scan(tmp_path):
     {"investigators": ["sub/inv00"]},
     {"investigators": [".."]},
     {"investigators": [3]},
+    {"investigators": ["inv00", "inv01", "inv00"]},
     ["inv00"],
 ])
 def test_discovery_rejects_malformed_index(tmp_path, doc):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from mapfuse.fusion import regularize
-from mapfuse.grids import GridShape, ProbabilityRaster
+from mapfuse.grids import GridShape, ProbabilityRaster, regularize
 from mapfuse.synth import (InvestigatorSpec, SceneSpec, generate_investigator,
                            generate_scene, uniform_kernel)
 import mapfuse.weights
