@@ -104,11 +104,13 @@ def stratified_samples(ref: LabelRaster, n_iterations: int, per_class: int,
 
 
 def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
-                       per_class: int, seed: int) -> Accuracy:
+                       per_class: int, seed: int, *, samples=None) -> Accuracy:
     """Iteration i scores pred on row i of ``stratified_samples``; the result
-    has a leading iteration axis."""
+    has a leading iteration axis. ``samples`` is that draw made once by the
+    caller, for assessing many maps against one reference."""
     common_shape([ref, pred])
-    idx = stratified_samples(ref, n_iterations, per_class, seed)
+    idx = (stratified_samples(ref, n_iterations, per_class, seed)
+           if samples is None else samples)
     counts = pair_counts(pred.values.ravel()[idx], ref.values.ravel()[idx],
                          ref.shape.n_classes)
     return accuracy_report(counts)

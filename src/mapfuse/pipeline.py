@@ -128,6 +128,10 @@ def plurality_baseline(maps) -> LabelRaster:
     return LabelRaster(shape, votes.argmax(axis=2))
 
 
+def _first_line(exc) -> str:
+    return (str(exc).splitlines() or [type(exc).__name__])[0]
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,8 +153,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for k in config.k_values:
             if k > n_maps:
                 raise ValueError(f"k={k} exceeds the {n_maps} investigator maps")
-    # every set's Monte Carlo draw makes this check; fail before the fit starts
-    stratified_samples(reference, 1, config.per_class_samples, config.seed)
+    # the one Monte Carlo draw every set is scored on; it checks the sample
+    # sizes, so a bad size fails before the fit starts
+    samples = stratified_samples(reference, config.mc_iterations,
+                                 config.per_class_samples, config.seed)
 
     # ---- plan and execute ---------------------------------------------
     # The kappa fit is the longest task, so it goes onto the pool first and
@@ -169,16 +175,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
             key_of["unweighted"] = everyone
         if "weighted" in config.fusion_modes:
             key_of["weighted"] = "weighted"
-        if "clustered" in config.fusion_modes:
-            feats = entropy_features(maps)
-            for method in config.methods:
-                fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
-                for k in config.k_values:
-                    model = fit(feats, k, config.seed)
-                    save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
-                    for g in range(k):
-                        key_of[f"{method}-k{k}g{g + 1}"] = tuple(
-                            np.flatnonzero(model.assignment == g).tolist())
+        prefix_error = None
+        try:
+            if "clustered" in config.fusion_modes:
+                feats = entropy_features(maps)
+                for method in config.methods:
+                    fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
+                    for k in config.k_values:
+                        model = fit(feats, k, config.seed)
+                        save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
+                        for g in range(k):
+                            key_of[f"{method}-k{k}g{g + 1}"] = tuple(
+                                np.flatnonzero(model.assignment == g).tolist())
+        except Exception as exc:        # re-raised once the manifest says so
+            prefix_error = exc
         plan = list(key_of)
         ids_of = {}            # key -> variant ids in plan order
         for vid in plan:
@@ -201,7 +211,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "tables": ["summary.csv", "iji.csv", "ttests.csv"],
         }
         manifest_path = out / "manifest.json"
-        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
+
+        def save_manifest():
+            write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
+
+        if prefix_error is not None:
+            # no set will run: record that before the pool waits out the fit
+            for e in manifest["variants"]:
+                e.update(status="failed", error=_first_line(prefix_error))
+            save_manifest()
+            raise prefix_error
+        save_manifest()
 
         def run_set(key):
             prob = None
@@ -216,7 +236,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
                     prob = fuse([maps[i] for i in key])
                 label = fused_label_map(prob)
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
-                                    config.per_class_samples, config.seed)
+                                    config.per_class_samples, config.seed,
+                                    samples=samples)
             for vid in ids_of[key]:
                 if prob is not None:
                     save_probability_raster(prob, out / f"{vid}_prob")
@@ -235,10 +256,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         exc = errors[key_of[e["id"]]]
         e["status"] = "failed" if exc else "done"
         if exc:
-            e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
+            e["error"] = _first_line(exc)
     failure = next(filter(None, errors.values()), None)
     if failure:
-        write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
+        save_manifest()
         raise failure
     results = {vid: futures[key_of[vid]].result() for vid in plan}
 
@@ -269,6 +290,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                "converged": est.converged,
                                "log_posterior": est.log_posterior,
                                "trace": list(est.trace)}
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
+    save_manifest()
     return {"output_dir": str(out), "variants": plan, "summary": summary,
             "manifest": str(manifest_path)}

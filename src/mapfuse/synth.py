@@ -265,6 +265,13 @@ def load_scenario(path):
     ids = [i for i, _ in investigators]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate investigator ids in {path}")
+    # a raster is its payload plus a ".json" header; no two outputs share a file
+    owner = dict.fromkeys(("truth", "truth.json", "index.json"))
+    for map_id in ids:
+        for name in (map_id, map_id + ".json"):
+            if owner.setdefault(name, map_id) != map_id:
+                raise ValueError(f"investigator id {map_id!r} in {path} would "
+                                 f"overwrite the output file {name!r}")
     return scene, investigators
 
 

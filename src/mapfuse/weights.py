@@ -3,15 +3,15 @@
 Each investigator j is assumed to report p_ij ~ Dirichlet(kappa_j * theta_i)
 around the latent per-pixel proportions theta_i, with kappa_j ~ Gamma(2, 1).
 Large kappa_j means the investigator's maps concentrate tightly around the
-consensus; small kappa_j means diffuse, unreliable reports. The MAP point
-estimate is found by block coordinate ascent:
+consensus; small kappa_j means diffuse reports. The MAP point estimate is
+found by block coordinate ascent, accelerated by SQUAREM:
 
   theta-step  exact per-pixel maximization of the concave theta block.
               Every pixel and class sees the same scalar function
               F(t) = sum_j logGamma(kappa_j t), so the KKT conditions read
               G(theta_c) = lin_c - lambda with G = F' = sum_j kappa_j
               psi(kappa_j t) strictly increasing (Minka 2000, the psi
-              inversion). G and dG/du are tabulated once per iteration
+              inversion). G and dG/du are tabulated once per sweep
               on a grid in u = log t and inverted by cubic Hermite
               interpolation; only the per-pixel multiplier lambda is then
               solved for, by bracketed Newton. The table costs J * nodes
@@ -20,15 +20,25 @@ estimate is found by block coordinate ascent:
   kappa-step  per-investigator Newton iteration on log kappa, safeguarded
               by bisection within [log 1e-3, log 1e3]; an investigator
               leaves the iteration once its step is below 1e-12
+  SQUAREM     one sweep (theta-step, then kappa-step) is a fixed-point map
+              on u = log kappa that converges at a steady linear rate.
+              After two sweeps u1 = F(u0) and u2 = F(u1), with r = u1 - u0,
+              v = u2 - 2 u1 + u0 and alpha = min(-|r|/|v|, -1), the squared
+              extrapolation u0 - 2 alpha r + alpha^2 v, clipped to the
+              kappa bracket, gets one sweep of its own: theta solved there,
+              then the kappa-step (Varadhan & Roland 2008, Scand. J. Stat.
+              35:335-353, step length S3). That jump sweep is kept only if
+              its exact joint is no lower than the joint at u2; otherwise
+              the ascent goes on from u2
 
-Every accepted step maximizes or provably improves its block, so the
-joint log-posterior ascends monotonically and the iteration lands on a
-genuine local maximum: at convergence each kappa_j is the 1-D optimum
-against the final theta. Acceptance, the recorded trace and the ascent
-check all use the exact logGamma objective; the per-investigator terms
-at the current point are kept, so neither block recomputes them. Point
-estimates are all the downstream fusion needs, which is why no sampler
-is involved.
+Every kept sweep either maximizes or provably improves its blocks, or (a
+jump) ends no lower than the joint it replaces, so the joint
+log-posterior ascends monotonically and the iteration lands on a genuine
+local maximum: at convergence each kappa_j is the 1-D optimum against the
+final theta. Acceptance, the recorded trace and the ascent check all use
+the exact logGamma objective; the per-investigator terms at the current
+point are kept, so neither block recomputes them. Point estimates are all
+the downstream fusion needs, which is why no sampler is involved.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ KAPPA_MAX = 1e3
 _LOG_BRACKET = (np.log(KAPPA_MIN), np.log(KAPPA_MAX))
 _THETA_NODES = 1024                 # grid of the G table in u = log theta
 _LOG_THETA_FLOOR = np.log(1e-12)
+_KAPPA_RTOL = 1e-6                  # stop once a sweep moves no kappa further
 
 
 def _trigamma(x):
@@ -76,7 +87,7 @@ class WeightEstimate:
     log_posterior: float
     iterations: int
     converged: bool
-    trace: tuple    # joint log-posterior after every outer iteration
+    trace: tuple    # joint log-posterior at the kept point after every sweep
 
     def __post_init__(self):
         k = np.asarray(self.kappa, dtype=np.float64)
@@ -217,6 +228,18 @@ def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
     return np.where(better, cand, kappa), np.where(better, cand_terms, terms)
 
 
+def _squarem_point(u0, u1, u2):
+    """The SQUAREM point of three successive sweeps of u = log kappa, clipped
+    to the kappa bracket; None when v = 0 or alpha = -1, where it is u2."""
+    r, v = u1 - u0, u2 - 2.0 * u1 + u0
+    if not v.any():
+        return None
+    alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+    if alpha == -1.0:
+        return None
+    return np.clip(u0 - 2.0 * alpha * r + alpha ** 2 * v, *_LOG_BRACKET)
+
+
 def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEstimate:
     """MAP-fit per-investigator kappa on a seeded pixel subsample.
 
@@ -246,6 +269,17 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         stats = np.einsum("nc,jnc->j", theta, logp)
         return _objective_all(kappa, theta, stats, logp_total, n_pix), stats
 
+    def sweep(kappa, theta, terms, stats):
+        """One outer sweep: the theta block, kept if the exact joint does
+        not fall, then the kappa block."""
+        cand = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
+        cand_terms, cand_stats = evaluate(kappa, cand)
+        if cand_terms.sum() >= terms.sum():
+            theta, terms, stats = cand, cand_terms, cand_stats
+        kappa, terms = _kappa_block(kappa, terms, theta, stats, logp_total,
+                                    n_pix)
+        return kappa, theta, terms, stats
+
     kappa = np.ones(n_maps)
     # start from the flat-prior posterior mean at unit kappa
     theta = ((1.0 + np.einsum("j,jnc->nc", kappa, stack))
@@ -253,28 +287,34 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     terms, stats = evaluate(kappa, theta)     # always the terms at (kappa, theta)
     current = float(terms.sum())
     trace = []
+    cycle = [np.log(kappa)]                   # u0, u1, u2 of one SQUAREM step
     converged = False
     it = 0
     for it in range(1, 201):
         kappa_prev = kappa
-
-        # theta block: exact KKT solve, kept if the exact joint does not fall
-        cand = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
-        cand_terms, cand_stats = evaluate(kappa, cand)
-        if cand_terms.sum() >= current:
-            theta, terms, stats = cand, cand_terms, cand_stats
-
-        # kappa block: exact 1-D maximization per investigator, lockstep
-        kappa, terms = _kappa_block(kappa, terms, theta, stats, logp_total,
-                                    n_pix)
+        jump = None
+        if len(cycle) == 3:
+            jump, cycle = _squarem_point(*cycle), cycle[2:]
+        if jump is None:
+            kappa, theta, terms, stats = sweep(kappa, theta, terms, stats)
+        else:
+            # no joint is known at the jump, so its theta is always taken;
+            # the sweep is kept only if it ends no lower than the joint at u2
+            cand = sweep(np.exp(jump), theta, np.full(n_maps, -np.inf), stats)
+            if not cand[2].sum() >= current:
+                trace.append(current)           # the ascent goes on from u2
+                continue
+            kappa, theta, terms, stats = cand
+            cycle = []                          # its end is the next u0
         new_val = float(terms.sum())
         if not new_val >= current - 1e-9 * max(1.0, abs(current)):
             raise RuntimeError("log-posterior decreased during ascent: "
                                f"{current!r} -> {new_val!r} at iteration {it}")
         current = new_val
         trace.append(current)
+        cycle.append(np.log(kappa))
 
-        if np.max(np.abs(kappa - kappa_prev) / kappa_prev) < 1e-6:
+        if np.max(np.abs(kappa - kappa_prev) / kappa_prev) < _KAPPA_RTOL:
             converged = True
             break
 

@@ -294,6 +294,32 @@ def test_malformed_json_input_exits_2_naming_the_file(work, capsys, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("map_id,collides", [
+    pytest.param("truth", "truth", id="truth"),
+    pytest.param("truth.json", "truth.json", id="truth-header"),
+    pytest.param("index", "index.json", id="index-as-header"),
+    pytest.param("index.json", "index.json", id="index"),
+    pytest.param(None, None, id="another-ids-header"),
+])
+def test_scenario_id_naming_another_output_exits_2(work, capsys, tmp_path,
+                                                    map_id, collides):
+    """An investigator id whose raster or header would land on the truth
+    raster, index.json or another investigator's header is refused before
+    anything is written."""
+    doc = json.loads((work / "scenario.json").read_text())
+    if map_id is None:             # the first id names the second's header
+        collides = map_id = doc["investigators"][1]["id"] + ".json"
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(_investigator(doc, id=map_id)))
+    out = tmp_path / "out"
+    rc = main(["simulate", str(target), "-o", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2, err
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(target) in err[0] and repr(collides) in err[0], err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1(work, capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("in the way")

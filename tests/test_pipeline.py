@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mapfuse.accuracy
 import mapfuse.pipeline
+from mapfuse.accuracy import stratified_samples
 from mapfuse.clustering import load_cluster_model
 from mapfuse.fusion import fuse, fused_label_map
 from mapfuse.grids import GridShape, LabelRaster
@@ -323,9 +325,25 @@ def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
         run_pipeline(config_for(panel_dir, out))
     assert fit_started.is_set()
     assert [t for t in threading.enumerate() if t not in before] == []
-    if (out / "manifest.json").exists():
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert all(e["status"] != "done" for e in manifest["variants"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["variants"]
+    assert all(e["status"] == "failed" and e["error"] == "kmeans broke"
+               for e in manifest["variants"])
+
+
+def test_one_monte_carlo_draw_per_run(panel_dir, tmp_path, monkeypatch):
+    """Every set is scored on the run's one sample draw."""
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return stratified_samples(*args, **kwargs)
+
+    monkeypatch.setattr(mapfuse.pipeline, "stratified_samples", counting)
+    monkeypatch.setattr(mapfuse.accuracy, "stratified_samples", counting)
+    res = run_pipeline(config_for(panel_dir, tmp_path / "o"))
+    assert len(res["variants"]) > 2
+    assert len(draws) == 1 and draws[0][1:] == (5, 8, 0)
 
 
 def test_manifest_keeps_weight_fit_diagnostics(panel_dir, tmp_path):

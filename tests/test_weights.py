@@ -28,6 +28,16 @@ def _panel(noise_levels, seed=20, size=32, softness=10.0):
     return maps
 
 
+def _criterion5_panel():
+    """Criterion-5 investigators: four each at noise 0.05, 0.2 and 0.4."""
+    truth = generate_scene(SceneSpec(shape=GridShape(64, 64, 4), n_blobs=8,
+                                     class_mix=(0.25,) * 4, seed=2000))
+    return [generate_investigator(truth, InvestigatorSpec(
+        noise_rate=nr, confusion_kernel=uniform_kernel(4), softness=10.0,
+        seed=3000 + 13 * i + r))
+        for i, nr in enumerate((0.05, 0.2, 0.4)) for r in range(4)]
+
+
 def _theta_newton(theta, kappa, lin, theta_obj, max_iter=30):
     """Reference theta block maximizer: diagonal Lagrangian Newton.
 
@@ -168,12 +178,7 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
     reads its 1024-pixel slice rather than the whole panel. The
     diagonal-Newton solver this replaced spent 23.6 J*N*C here.
     """
-    truth = generate_scene(SceneSpec(shape=GridShape(64, 64, 4), n_blobs=8,
-                                     class_mix=(0.25,) * 4, seed=2000))
-    maps = [generate_investigator(truth, InvestigatorSpec(
-        noise_rate=nr, confusion_kernel=uniform_kernel(4), softness=10.0,
-        seed=3000 + 13 * i + r))
-        for i, nr in enumerate((0.05, 0.2, 0.4)) for r in range(4)]
+    maps = _criterion5_panel()
     evaluated = [0]
 
     def counting(fn):
@@ -186,7 +191,7 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
         monkeypatch.setattr(mapfuse.weights, name,
                             counting(getattr(mapfuse.weights, name)))
     est = estimate_weights(maps)
-    panel = len(maps) * truth.shape.n_pixels * 4
+    panel = len(maps) * maps[0].shape.n_pixels * 4
     per_iteration = evaluated[0] / (est.iterations * panel)
     assert est.converged
     assert per_iteration <= 10.0, f"{per_iteration:.2f} J*N*C per iteration"
@@ -203,6 +208,103 @@ def test_ascent_check_raises_on_reported_decrease(monkeypatch):
     monkeypatch.setattr(mapfuse.weights, "_kappa_block", losing_block)
     with pytest.raises(RuntimeError, match="log-posterior decreased"):
         estimate_weights(_panel((0.1, 0.3), seed=33), seed=1)
+
+
+def test_squarem_point_lands_on_a_linear_maps_fixed_point():
+    # u -> c + 0.47 (u - c): one extrapolation from three iterates is exact
+    c = np.array([0.5, 1.5, -0.25])
+    us = [np.zeros(3)]
+    for _ in range(2):
+        us.append(c + 0.47 * (us[-1] - c))
+    assert np.abs(mapfuse.weights._squarem_point(*us) - c).max() < 1e-12
+    # clipped to the kappa bracket
+    far = mapfuse.weights._squarem_point(np.zeros(1), np.full(1, 5.0),
+                                         np.full(1, 9.0))
+    assert far[0] == mapfuse.weights._LOG_BRACKET[1]
+    # v = 0 and alpha = -1 (|r| <= |v|) leave u2 as it is
+    flat = np.ones(2)
+    assert mapfuse.weights._squarem_point(flat, flat, flat) is None
+    assert mapfuse.weights._squarem_point(flat, 2 * flat, flat) is None
+
+
+def test_squarem_extrapolates_from_the_last_three_kept_points(monkeypatch):
+    """Every jump reads the two sweeps since the previous jump's end (or
+    the unit-kappa start) and the sweep before them."""
+    kept, seen = [np.zeros(12)], []
+    kappa_block = mapfuse.weights._kappa_block
+    squarem_point = mapfuse.weights._squarem_point
+
+    def recording_block(*args):
+        kappa, terms = kappa_block(*args)
+        kept.append(np.log(kappa))
+        return kappa, terms
+
+    def recording_point(u0, u1, u2):
+        seen.append((len(kept), u0, u1, u2))
+        return squarem_point(u0, u1, u2)
+
+    monkeypatch.setattr(mapfuse.weights, "_kappa_block", recording_block)
+    monkeypatch.setattr(mapfuse.weights, "_squarem_point", recording_point)
+    est = estimate_weights(_criterion5_panel())
+    assert est.converged and len(seen) >= 2
+    for n, *us in seen:
+        for got, want in zip(us, kept[n - 3:n]):
+            assert np.array_equal(got, want)
+    # no jump is rejected on this panel, so every third sweep is a jump
+    assert [n for n, *_ in seen] == [3 + 3 * i for i in range(len(seen))]
+
+
+@pytest.mark.parametrize("maps", [
+    pytest.param(lambda: _panel((0.05, 0.20, 0.40)), id="planted-trio"),
+    pytest.param(lambda: _panel((0.05, 0.1, 0.15), seed=9), id="consistent-trio"),
+    pytest.param(_criterion5_panel, id="criterion-5"),
+])
+def test_fit_lands_near_the_fit_run_to_1e12(monkeypatch, maps):
+    """The 1e-6 stopping rule bounds the last sweep's move, not the
+    distance to the fixed point; on these panels the fit still stops
+    within 1e-6 relative of the same fit run to a 1e-12 rule."""
+    maps = maps()
+    est = estimate_weights(maps)
+    monkeypatch.setattr(mapfuse.weights, "_KAPPA_RTOL", 1e-12)
+    tight = estimate_weights(maps)
+    assert tight.converged and tight.iterations > est.iterations
+    assert np.abs(est.kappa / tight.kappa - 1).max() <= 1e-6
+
+
+def test_rejected_jump_keeps_the_ascent_and_records_no_loser(monkeypatch):
+    """A jump whose joint loses is dropped: the fit goes on from u2,
+    converges, its trace stays monotone, and the losing joint is never
+    recorded."""
+    kappa_block = mapfuse.weights._kappa_block
+    squarem_point = mapfuse.weights._squarem_point
+    jumping, rejected = [False], []
+
+    def marking_point(*us):
+        point = squarem_point(*us)
+        jumping[0] = point is not None
+        return point
+
+    def losing_block(*args):
+        kappa, terms = kappa_block(*args)
+        if jumping[0]:                 # the jump sweep's kappa block
+            jumping[0] = False
+            terms = terms - 1e6
+            rejected.append(float(terms.sum()))
+        return kappa, terms
+
+    maps = _criterion5_panel()
+    reference = estimate_weights(maps)
+    monkeypatch.setattr(mapfuse.weights, "_squarem_point", marking_point)
+    monkeypatch.setattr(mapfuse.weights, "_kappa_block", losing_block)
+    est = estimate_weights(maps)
+    trace = np.asarray(est.trace)
+    assert rejected and est.converged
+    assert len(trace) == est.iterations > reference.iterations
+    assert (np.diff(trace) >= 0).all()
+    assert not set(rejected) & set(est.trace)
+    # a rejected jump still counts as a sweep and records the kept joint
+    assert (np.diff(trace) == 0).sum() >= len(rejected)
+    assert np.abs(est.kappa / reference.kappa - 1).max() <= 2e-6
 
 
 def test_duplicated_investigator_gets_equal_weight():
