@@ -176,6 +176,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:          # fuse and assess draw from it
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, NotADirectoryError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

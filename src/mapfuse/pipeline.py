@@ -1,8 +1,9 @@
 """End-to-end orchestration: load maps, fuse every requested way, assess.
 
-A run plans its variants — a plurality-vote baseline, plain unweighted
-fusion, confidence-weighted fusion, and one variant per cluster group per
-method per k — and writes a manifest of the outputs it intends to produce.
+A run checks every input before it creates anything (_load), then plans
+its variants — a plurality-vote baseline, plain unweighted fusion,
+confidence-weighted fusion, and one variant per cluster group per method
+per k (_plan) — and writes a manifest of the outputs it intends to produce.
 The kappa fit starts on a thread pool before the clustering that plans the
 groups; then one task per distinct set of fused maps writes its outputs
 under every variant id naming that set. Everything derived from randomness
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ class PipelineConfig:
         for k in self.k_values:
             if k < 2:
                 raise ValueError(f"k must be at least 2, got {k}")
+        if any(len(set(v)) < len(v) for v in (self.k_values, self.methods)):
+            raise ValueError("k_values and methods must not repeat an entry")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown cluster methods {sorted(bad)}")
@@ -74,6 +77,8 @@ class PipelineConfig:
             raise ValueError("mc_iterations must be >= 2: the t-tests pair iterations")
         if self.per_class_samples < 1:
             raise ValueError("per_class_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -128,113 +133,101 @@ def plurality_baseline(maps) -> LabelRaster:
     return LabelRaster(shape, votes.argmax(axis=2))
 
 
-def _first_line(exc) -> str:
-    return (str(exc).splitlines() or [type(exc).__name__])[0]
-
-
-def run_pipeline(config: PipelineConfig) -> dict:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+def _load(config):
+    """Every input check of a run, made before it creates anything. Returns
+    (reference, ids, maps, samples); samples is the run's one Monte Carlo draw."""
     ref_path = Path(config.reference)
     if not (ref_path.exists() and Path(str(ref_path) + ".json").exists()):
         raise ValueError(f"reference raster {ref_path} not found")
     reference = load_label_raster(ref_path)
     named = discover_investigators(config.input_dir)
-    ids = [n for n, _ in named]
     maps = [load_probability_raster(p) for _, p in named]
     if common_shape(maps) != reference.shape:
         raise ValueError(f"map shape {maps[0].shape} != reference {reference.shape}")
-    n_maps = len(maps)
-
-    if n_maps < 2 and {"weighted", "clustered"} & set(config.fusion_modes):
+    if len(maps) < 2 and {"weighted", "clustered"} & set(config.fusion_modes):
         raise ValueError("weighting and clustering require at least 2 investigator maps")
     if "clustered" in config.fusion_modes:
         for k in config.k_values:
-            if k > n_maps:
-                raise ValueError(f"k={k} exceeds the {n_maps} investigator maps")
-    # the one Monte Carlo draw every set is scored on; it checks the sample
-    # sizes, so a bad size fails before the fit starts
+            if k > len(maps):
+                raise ValueError(f"k={k} exceeds the {len(maps)} investigator maps")
+    # drawing checks the sample sizes, so a bad size fails before the fit
     samples = stratified_samples(reference, config.mc_iterations,
                                  config.per_class_samples, config.seed)
+    return reference, [n for n, _ in named], maps, samples
+
+
+def _plan(config, maps, out, key_of):
+    """Fill key_of, in plan order, with variant id -> what it fuses: the
+    baseline, all maps with kappa, or sorted member indices. Each cluster
+    model is fitted and saved on the way; if one raises, key_of keeps every
+    variant planned before it."""
+    key_of[BASELINE] = BASELINE
+    if "unweighted" in config.fusion_modes:
+        key_of["unweighted"] = tuple(range(len(maps)))
+    if "weighted" in config.fusion_modes:
+        key_of["weighted"] = "weighted"
+    if "clustered" in config.fusion_modes:
+        feats = entropy_features(maps)
+        for method in config.methods:
+            fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
+            for k in config.k_values:
+                model = fit(feats, k, config.seed)
+                save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
+                for g in range(k):
+                    key_of[f"{method}-k{k}g{g + 1}"] = tuple(
+                        np.flatnonzero(model.assignment == g).tolist())
+
+
+def run_pipeline(config: PipelineConfig) -> dict:
+    reference, ids, maps, samples = _load(config)
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     # ---- plan and execute ---------------------------------------------
     # The kappa fit is the longest task, so it goes onto the pool first and
-    # the clustering runs underneath it (numpy releases the GIL in both).
-    # Variants are keyed by what they fuse (the baseline, all maps with
-    # kappa, or sorted member indices); one task per key fuses, scores and
-    # builds the edge table once and writes the same bytes under each id.
-    # Beyond the fit and the weighted task's wait, threads past the core
-    # count add allocator arenas (peak RSS), not speed.
+    # the clustering (_plan) runs underneath it; numpy releases the GIL in
+    # both. Beyond the fit and the weighted task's wait, threads past the
+    # core count add allocator arenas (peak RSS), not speed.
     with ThreadPoolExecutor(max_workers=min(8, (os.cpu_count() or 1) + 2)) as pool:
         weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
                           if "weighted" in config.fusion_modes else None)
-        everyone = tuple(range(n_maps))
-        key_of = {BASELINE: BASELINE}
-        if "unweighted" in config.fusion_modes:
-            key_of["unweighted"] = everyone
-        if "weighted" in config.fusion_modes:
-            key_of["weighted"] = "weighted"
-        prefix_error = None
+        key_of, prefix_error = {}, None
         try:
-            if "clustered" in config.fusion_modes:
-                feats = entropy_features(maps)
-                for method in config.methods:
-                    fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
-                    for k in config.k_values:
-                        model = fit(feats, k, config.seed)
-                        save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
-                        for g in range(k):
-                            key_of[f"{method}-k{k}g{g + 1}"] = tuple(
-                                np.flatnonzero(model.assignment == g).tolist())
+            _plan(config, maps, out, key_of)
         except Exception as exc:        # re-raised once the manifest says so
             prefix_error = exc
         plan = list(key_of)
         ids_of = {}            # key -> variant ids in plan order
         for vid in plan:
             ids_of.setdefault(key_of[vid], []).append(vid)
-
-        def entry(vid):
-            key = key_of[vid]
-            files = [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"]
-            if vid != BASELINE:
-                files = [f"{vid}_prob", f"{vid}_prob.json"] + files
-            members = everyone if isinstance(key, str) else key
-            return {"id": vid, "files": files, "status": "planned",
-                    "members": [ids[i] for i in members],
-                    "set_id": ids_of[key][0]}
-
         manifest = {
-            "config": {f: getattr(config, f)
-                       for f in PipelineConfig.__dataclass_fields__},
-            "variants": [entry(v) for v in plan],
+            "config": asdict(config),
+            "variants": [
+                {"id": vid,
+                 "files": ([] if vid == BASELINE else [f"{vid}_prob", f"{vid}_prob.json"])
+                 + [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"],
+                 "status": "planned",
+                 "members": ids if isinstance(key, str) else [ids[i] for i in key],
+                 "set_id": ids_of[key][0]}
+                for vid, key in key_of.items()],
             "tables": ["summary.csv", "iji.csv", "ttests.csv"],
         }
-        manifest_path = out / "manifest.json"
 
         def save_manifest():
-            write_text_atomic(manifest_path, json.dumps(manifest, indent=2, default=str))
+            write_text_atomic(out / "manifest.json",
+                              json.dumps(manifest, indent=2, default=str))
 
-        if prefix_error is not None:
-            # no set will run: record that before the pool waits out the fit
-            for e in manifest["variants"]:
-                e.update(status="failed", error=_first_line(prefix_error))
-            save_manifest()
-            raise prefix_error
         save_manifest()
 
         def run_set(key):
             prob = None
-            if key == BASELINE:
-                label = plurality_baseline(maps)
-            else:
-                if key == "weighted":
-                    est = weights_future.result()
-                    save_weights_csv(est, out / "weights.csv", ids=ids)
-                    prob = fuse(maps, weights=est.kappa)
-                else:
-                    prob = fuse([maps[i] for i in key])
-                label = fused_label_map(prob)
+            if key == "weighted":
+                est = weights_future.result()
+                save_weights_csv(est, out / "weights.csv", ids=ids)
+                prob = fuse(maps, weights=est.kappa)
+            elif key != BASELINE:
+                prob = fuse([maps[i] for i in key])
+            label = plurality_baseline(maps) if prob is None else fused_label_map(prob)
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
                                     config.per_class_samples, config.seed,
                                     samples=samples)
@@ -246,21 +239,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
                              out / f"{vid}_mc.csv")
             return edge_table(label), mc
 
-        # stable sort: the weighted task first, the rest in plan order
-        futures = {key: pool.submit(run_set, key)
-                   for key in sorted(ids_of, key=lambda k: k != "weighted")}
-
-    # a failed set fails every id that names it; the rest are written out
-    errors = {key: f.exception() for key, f in futures.items()}
-    for e in manifest["variants"]:
-        exc = errors[key_of[e["id"]]]
-        e["status"] = "failed" if exc else "done"
-        if exc:
-            e["error"] = _first_line(exc)
-    failure = next(filter(None, errors.values()), None)
-    if failure:
-        save_manifest()
-        raise failure
+        # no set runs after a prefix failure; otherwise the weighted task
+        # goes first and the rest follow in plan order (a stable sort)
+        futures = {} if prefix_error else {
+            key: pool.submit(run_set, key)
+            for key in sorted(ids_of, key=lambda k: k != "weighted")}
+        # a failed set fails every id that names it, and a prefix failure
+        # every id; the manifest says so before the pool waits out the fit
+        errors = {key: prefix_error or futures[key].exception() for key in ids_of}
+        for e in manifest["variants"]:
+            exc = errors[key_of[e["id"]]]
+            e["status"] = "failed" if exc else "done"
+            if exc:
+                e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
+        failure = next(filter(None, errors.values()), None)
+        if failure:
+            save_manifest()
+            raise failure
     results = {vid: futures[key_of[vid]].result() for vid in plan}
 
     # ---- joins: IJI, t-tests, summary -----------------------------------
@@ -292,4 +287,4 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                "trace": list(est.trace)}
     save_manifest()
     return {"output_dir": str(out), "variants": plan, "summary": summary,
-            "manifest": str(manifest_path)}
+            "manifest": str(out / "manifest.json")}

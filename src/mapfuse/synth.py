@@ -104,7 +104,6 @@ def style_kernel(n_classes: int, style: int) -> np.ndarray:
         target = (c + 1 + style) % n_classes
         if target == c:
             target = (c + 1) % n_classes
-        k[c, :] = 0.1 / (n_classes - 2)
         k[c, c] = 0.5
         k[c, target] = 0.4
     return k

@@ -342,6 +342,8 @@ def load_weights_csv(path) -> tuple[list, np.ndarray]:
         except ValueError as exc:
             raise ValueError(f"malformed weights CSV {path}: bad kappa {val!r}") from exc
         ids.append(name)
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"malformed weights CSV {path}: an investigator id repeats")
     k = np.asarray(kappas)
     if len(k) == 0 or (k <= 0).any() or not np.isfinite(k).all():
         raise ValueError(f"malformed weights CSV {path}: kappa must be positive")

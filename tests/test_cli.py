@@ -96,6 +96,15 @@ def test_fuse_weights_from_csv(work, capsys):
     assert rc == 2
     assert "lacks entries" in capsys.readouterr().err
 
+    # a repeated id is refused, not settled by its last kappa
+    csv_path.write_text("investigator_id,kappa\n"
+                        + "".join(f"{i},2.0\n" for i in ids) + f"{ids[0]},9.0\n")
+    rc = main(["fuse", "-i", str(work / "data"), "-o", str(work / "fc3"),
+               "--weights", str(csv_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and str(csv_path) in err[0], err
+    assert "repeats" in err[0]
+
 
 def test_fuse_cluster_group(work, capsys):
     rc = main(["fuse", "-i", str(work / "data"), "-o", str(work / "fg"),
@@ -217,6 +226,20 @@ def test_assess_command(work, capsys):
     assert captured.err.startswith("error: ") and "--mc" in captured.err
 
 
+@pytest.mark.parametrize("command", ["fuse", "assess"])
+def test_negative_seed_exits_2_before_any_work(work, capsys, tmp_path, command):
+    truth = str(work / "data" / "truth")
+    out = tmp_path / "out"
+    rc = main({"fuse": ["fuse", "-i", str(work / "data"), "-o", str(out),
+                        "--weights", "auto", "--seed", "-1"],
+               "assess": ["assess", "--pred", truth, "--ref", truth,
+                          "--mc", "3", "--per-class", "5", "--seed", "-1"]}[command])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_iji_command(work, capsys):
     rc = main(["iji", str(work / "data" / "truth")])
     assert rc == 0
@@ -253,6 +276,9 @@ def _investigator(doc, **fields):
     pytest.param("pipeline", lambda d: {**d, "mc_iterations": "5"}, id="mc-str"),
     pytest.param("pipeline", lambda d: {**d, "mc_iterations": 1}, id="mc-one"),
     pytest.param("pipeline", lambda d: {**d, "seed": "x"}, id="seed-str"),
+    pytest.param("pipeline", lambda d: {**d, "seed": -1}, id="seed-negative"),
+    pytest.param("pipeline", lambda d: {**d, "k_values": [2, 2]}, id="k-repeated"),
+    pytest.param("pipeline", lambda d: {**d, "methods": ["kmeans"] * 2}, id="methods-repeated"),
     pytest.param("pipeline", lambda d: {**d, "per_class_samples": 2.5}, id="per-class-float"),
     pytest.param("pipeline", lambda d: {**d, "input_dir": 3}, id="input_dir-int"),
     pytest.param("pipeline", lambda d: {**d, "methods": 3}, id="methods-int"),

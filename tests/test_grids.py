@@ -77,10 +77,12 @@ def test_hard_classify_tie_breaks_low():
 
 
 @given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2,
-                max_size=8).filter(lambda r: r.count(max(r)) == 1),
+                max_size=8).filter(lambda r: sorted(r)[-1] > sorted(r)[-2] * (1 + 1e-9)),
        st.floats(min_value=1e-6, max_value=1e6))
 def test_argmax_scale_invariance(raw, scale):
-    # the labeling rule depends only on ratios, never on the overall mass
+    # the labeling rule depends only on ratios, never on the overall mass;
+    # a top pair within rounding of a tie is left out, since normalizing or
+    # scaling can make it an exact tie, which hard_classify breaks low
     p = np.array(raw)
     assert np.argmax(p) == np.argmax(p * scale)
     a = make_prob((p / p.sum()).reshape(1, 1, -1))

@@ -81,6 +81,10 @@ def test_config_validation():
         PipelineConfig("i", "r", "o", mc_iterations=1)
     with pytest.raises(ValueError, match="per_class_samples"):
         PipelineConfig("i", "r", "o", per_class_samples=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PipelineConfig("i", "r", "o", seed=-1)
+    with pytest.raises(ValueError, match="must not repeat"):
+        PipelineConfig("i", "r", "o", k_values=(3, 2, 3))
 
 
 def test_config_file_round_trip(tmp_path):
@@ -102,13 +106,13 @@ def test_config_file_round_trip(tmp_path):
 def test_invalid_k_rejected_before_compute(panel_dir, tmp_path):
     with pytest.raises(ValueError, match="exceeds the 4 investigator"):
         run_pipeline(config_for(panel_dir, tmp_path / "o", k_values=(5,)))
-    assert not (tmp_path / "o" / "summary.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
                                                       monkeypatch):
     """A class too small for per_class_samples fails before the pool opens:
-    no kappa fit starts and no manifest is written."""
+    no kappa fit starts and no output directory is made."""
     ref = load_label_raster(panel_dir / "truth")
     n = ref.shape.n_classes
     counts = np.bincount(ref.values.ravel(), minlength=n)[:n]    # NODATA dropped
@@ -125,7 +129,7 @@ def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
                                 per_class_samples=int(counts[smallest]) + 1))
     assert f"class {ref.shape.class_names[smallest]!r} has only" in str(info.value)
     assert fits == []
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mode", ["weighted", "clustered"])
@@ -146,6 +150,7 @@ def test_missing_reference(panel_dir, tmp_path):
     with pytest.raises(ValueError, match="reference raster"):
         run_pipeline(config_for(panel_dir, tmp_path / "o",
                                 reference=str(tmp_path / "nowhere")))
+    assert not (tmp_path / "o").exists()       # checked before anything is made
 
 
 # ------------------------------------------------------------- full runs

@@ -369,6 +369,10 @@ def test_weights_csv_rejects_bad_content(tmp_path):
     p.write_text("investigator_id,kappa\na,-2.0\n")
     with pytest.raises(ValueError, match="positive"):
         load_weights_csv(p)
+    # the last kappa given for an id must not silently win
+    p.write_text("investigator_id,kappa\na,1.0\nb,2.0\na,3.0\n")
+    with pytest.raises(ValueError, match="id repeats"):
+        load_weights_csv(p)
     est = WeightEstimate(kappa=np.array([1.0]), log_posterior=0.0,
                          iterations=1, converged=True, trace=(0.0,))
     with pytest.raises(ValueError, match="one id per investigator"):
