@@ -92,15 +92,12 @@ def _cmd_fuse(args) -> int:
         print(f"cluster {args.cluster} k={args.k} group {args.group}: "
               f"{len(maps)} maps ({', '.join(ids)})")
 
-    weights = None
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    weights = est = None
     if args.weights == "auto":
         est = estimate_weights(maps, seed=args.seed)
         if not est.converged:
             print(f"warning: weight fit did not converge in {est.iterations} "
                   "iterations; using its last kappa", file=sys.stderr)
-        save_weights_csv(est, out / "weights.csv", ids=ids)
         weights = est.kappa
         print("inferred weights: "
               + ", ".join(f"{i}={k:.4g}" for i, k in zip(ids, weights)))
@@ -112,6 +109,10 @@ def _cmd_fuse(args) -> int:
             raise ValueError(f"weights CSV lacks entries for {missing}")
         weights = np.array([table[i] for i in ids])
 
+    out = Path(args.output)            # made once the weights are known
+    out.mkdir(parents=True, exist_ok=True)
+    if est is not None:
+        save_weights_csv(est, out / "weights.csv", ids=ids)
     mean = fuse(maps, weights=weights)
     save_probability_raster(mean, out / "fused_prob")
     save_label_raster(fused_label_map(mean), out / "fused_label")

@@ -186,8 +186,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # ---- plan and execute ---------------------------------------------
     # The kappa fit is the longest task, so it goes onto the pool first and
     # the clustering (_plan) runs underneath it; numpy releases the GIL in
-    # both. Beyond the fit and the weighted task's wait, threads past the
-    # core count add allocator arenas (peak RSS), not speed.
+    # both. Once the prefix and the set tasks are done, the fit's sweep
+    # blocks fill every core. Beyond the fit and the weighted task's wait,
+    # threads past the core count add allocator arenas (peak RSS), not speed.
     with ThreadPoolExecutor(max_workers=min(8, (os.cpu_count() or 1) + 2)) as pool:
         weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
                           if "weighted" in config.fusion_modes else None)

@@ -39,10 +39,22 @@ final theta. Acceptance, the recorded trace and the ascent check all use
 the exact logGamma objective; the per-investigator terms at the current
 point are kept, so neither block recomputes them. Point estimates are all
 the downstream fusion needs, which is why no sampler is involved.
+
+Parallel sweeps. The special functions release the GIL, so each sweep runs
+in _WORKERS contiguous blocks on one module thread pool: the joint terms
+and the kappa-step (Newton and acceptance) by investigator, the theta-step's
+multiplier Newton by pixel against one shared G table. Each row's result
+depends on that row alone, and every per-investigator reduction is an
+(a * b).sum(axis=(1, 2)), whose bits do not depend on the block size
+(einsum's do), so the fit is bit-identical for any worker count. np.errstate
+is a context variable that pool threads do not inherit, so every errstate
+block sits in the code a worker runs.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +70,17 @@ _LOG_BRACKET = (np.log(KAPPA_MIN), np.log(KAPPA_MAX))
 _THETA_NODES = 1024                 # grid of the G table in u = log theta
 _LOG_THETA_FLOOR = np.log(1e-12)
 _KAPPA_RTOL = 1e-6                  # stop once a sweep moves no kappa further
+_WORKERS = os.cpu_count() or 1      # blocks per sweep: one per core
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="mapfuse-weights")
+
+
+def _in_blocks(fn, n):
+    """fn(rows) over min(_WORKERS, n) contiguous row slices of range(n), run
+    on the pool; fn returns a tuple of arrays, concatenated block by block."""
+    k = min(_WORKERS, n)
+    edges = [n * i // k for i in range(k + 1)]
+    parts = _POOL.map(lambda a, b: fn(slice(a, b)), edges[:-1], edges[1:])
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def _trigamma(x):
@@ -130,14 +153,13 @@ def _kappa_newton_all(kappa0, theta, stats, n_pix):
         ua = u[act]
         k = np.exp(ua)
         kt = k[:, None, None] * theta[None, :, :]
-        dk = (n_pix * psi(k) - np.einsum("nc,jnc->j", theta, psi(kt))
+        dk = (n_pix * psi(k) - (theta * psi(kt)).sum(axis=(1, 2))
               + stats[act] + 1.0 / k - 1.0)
         du = k * dk
         lo[act] = np.where(du > 0, ua, lo[act])
         hi[act] = np.where(du <= 0, ua, hi[act])
         d2k = (n_pix * _trigamma(k)
-               - curv_scale * np.einsum("nc,jnc->j", th_sq,
-                                        _trigamma(kt[:, :n_slice, :]))
+               - curv_scale * (th_sq * _trigamma(kt[:, :n_slice])).sum(axis=(1, 2))
                - 1.0 / k ** 2)
         d2u = du + k ** 2 * d2k
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,28 +213,34 @@ def _theta_kkt(theta, kappa, lin):
         dth[below] = th[below] ** 2 / n_maps
         return th, dth
 
-    top = lin.max(axis=1)
-    lo = top - g[-1]
-    hi = top - kappa @ psi(kappa / n_cls)
-    lam = lo.copy()
-    act = np.arange(n_pix)
-    for _ in range(100):
-        la = lam[act]
-        th, dth = inverse(lin[act] - la[:, None])
-        f = th.sum(axis=1) - 1.0
-        lo[act] = np.where(f > 0, la, lo[act])
-        hi[act] = np.where(f < 0, la, hi[act])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / dth.sum(axis=1)                # f' = -sum dth
-        done = np.abs(step) <= 1e-13 * (1.0 + np.abs(la))
-        newton = la + step
-        inside = (newton > lo[act]) & (newton < hi[act])
-        lam[act] = np.where(done | inside, newton, 0.5 * (lo[act] + hi[act]))
-        act = act[~done]
-        if act.size == 0:
-            break
-    theta, _ = inverse(lin - lam[:, None])
-    return theta / theta.sum(axis=1, keepdims=True)
+    g_flat = kappa @ psi(kappa / n_cls)               # G(1/C)
+
+    def solve(rows):
+        """The multiplier Newton and theta for one block of pixels."""
+        lin_b = lin[rows]
+        top = lin_b.max(axis=1)
+        lo, hi = top - g[-1], top - g_flat
+        lam = lo.copy()
+        act = np.arange(lin_b.shape[0])
+        for _ in range(100):
+            la = lam[act]
+            th, dth = inverse(lin_b[act] - la[:, None])
+            f = th.sum(axis=1) - 1.0
+            lo[act] = np.where(f > 0, la, lo[act])
+            hi[act] = np.where(f < 0, la, hi[act])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = f / dth.sum(axis=1)            # f' = -sum dth
+            done = np.abs(step) <= 1e-13 * (1.0 + np.abs(la))
+            newton = la + step
+            inside = (newton > lo[act]) & (newton < hi[act])
+            lam[act] = np.where(done | inside, newton, 0.5 * (lo[act] + hi[act]))
+            act = act[~done]
+            if act.size == 0:
+                break
+        th, _ = inverse(lin_b - lam[:, None])
+        return (th / th.sum(axis=1, keepdims=True),)
+
+    return _in_blocks(solve, n_pix)[0]
 
 
 def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
@@ -222,10 +250,15 @@ def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
     term does not fall; its term at the kept kappa is returned with it,
     so the caller's bookkeeping needs no further sweep.
     """
-    cand = _kappa_newton_all(kappa, theta, stats, n_pix)
-    cand_terms = _objective_all(cand, theta, stats, logp_total, n_pix)
-    better = cand_terms >= terms
-    return np.where(better, cand, kappa), np.where(better, cand_terms, terms)
+    def block(rows):
+        cand = _kappa_newton_all(kappa[rows], theta, stats[rows], n_pix)
+        cand_terms = _objective_all(cand, theta, stats[rows], logp_total[rows],
+                                    n_pix)
+        better = cand_terms >= terms[rows]
+        return (np.where(better, cand, kappa[rows]),
+                np.where(better, cand_terms, terms[rows]))
+
+    return tuple(_in_blocks(block, kappa.size))
 
 
 def _squarem_point(u0, u1, u2):
@@ -266,8 +299,12 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
 
     def evaluate(kappa, theta):
         """Per-investigator joint terms at (kappa, theta), and theta's stats."""
-        stats = np.einsum("nc,jnc->j", theta, logp)
-        return _objective_all(kappa, theta, stats, logp_total, n_pix), stats
+        def block(rows):
+            stats = (theta * logp[rows]).sum(axis=(1, 2))
+            return (_objective_all(kappa[rows], theta, stats, logp_total[rows],
+                                   n_pix), stats)
+
+        return _in_blocks(block, n_maps)
 
     def sweep(kappa, theta, terms, stats):
         """One outer sweep: the theta block, kept if the exact joint does

@@ -106,6 +106,33 @@ def test_fuse_weights_from_csv(work, capsys):
     assert "repeats" in err[0]
 
 
+@pytest.mark.parametrize("case", ["csv-repeats-id", "csv-lacks-id",
+                                  "auto-one-map"])
+def test_fuse_refused_weights_leave_no_output_directory(work, capsys, tmp_path,
+                                                        case):
+    """The output directory is made only once the weights are known."""
+    ids = json.loads((work / "data" / "index.json").read_text())["investigators"]
+    data, weights = work / "data", tmp_path / "w.csv"
+    if case == "csv-repeats-id":
+        weights.write_text("investigator_id,kappa\n"
+                           + "".join(f"{i},2.0\n" for i in ids) + f"{ids[0]},9.0\n")
+    elif case == "csv-lacks-id":
+        weights.write_text("investigator_id,kappa\n"
+                           + "".join(f"{i},2.0\n" for i in ids[1:]))
+    else:
+        data, weights = tmp_path / "one", "auto"
+        data.mkdir()
+        for suffix in ("", ".json"):
+            shutil.copy(work / "data" / (ids[0] + suffix), data / (ids[0] + suffix))
+        (data / "index.json").write_text(json.dumps({"investigators": [ids[0]]}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["fuse", "-i", str(data), "-o", str(out), "--weights", str(weights)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
 def test_fuse_cluster_group(work, capsys):
     rc = main(["fuse", "-i", str(work / "data"), "-o", str(work / "fg"),
                "--cluster", "kmeans", "-k", "2", "--group", "1"])

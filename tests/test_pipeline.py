@@ -13,6 +13,7 @@ import pytest
 
 import mapfuse.accuracy
 import mapfuse.pipeline
+import mapfuse.weights
 from mapfuse.accuracy import stratified_samples
 from mapfuse.clustering import load_cluster_model
 from mapfuse.fusion import fuse, fused_label_map
@@ -311,12 +312,15 @@ def test_failed_manifest_write_keeps_the_planned_manifest(panel_dir, tmp_path,
 
 
 def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
-    fit, fit_started = mapfuse.pipeline.estimate_weights, threading.Event()
+    fit = mapfuse.pipeline.estimate_weights
+    fit_started, fit_done = threading.Event(), threading.Event()
 
     def slow_fit(*args, **kw):
         fit_started.set()
         time.sleep(0.5)      # still running when the prefix fails
-        return fit(*args, **kw)
+        est = fit(*args, **kw)
+        fit_done.set()
+        return est
 
     def broken_kmeans(*args, **kw):
         fit_started.wait(10)   # the fit is submitted before the clustering
@@ -328,12 +332,37 @@ def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
     out = tmp_path / "run"
     with pytest.raises(RuntimeError, match="kmeans broke"):
         run_pipeline(config_for(panel_dir, out))
-    assert fit_started.is_set()
-    assert [t for t in threading.enumerate() if t not in before] == []
+    assert fit_started.is_set() and fit_done.is_set()
+    # the fit's own sweep pool lives on for the next fit, idle
+    assert [t for t in threading.enumerate() if t not in before
+            and not t.name.startswith("mapfuse-weights")] == []
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["variants"]
     assert all(e["status"] == "failed" and e["error"] == "kmeans broke"
                for e in manifest["variants"])
+
+
+def test_fit_error_in_a_sweep_block_fails_only_the_weighted_set(
+        panel_dir, tmp_path, monkeypatch):
+    class Broken(Exception):
+        pass
+
+    psi = mapfuse.weights.psi
+
+    def broken_psi(x, *args, **kw):
+        if np.ndim(x) == 3:      # the kappa Newton's (J, N, C) sweep, in a block
+            raise Broken("psi broke")
+        return psi(x, *args, **kw)
+
+    monkeypatch.setattr(mapfuse.weights, "psi", broken_psi)
+    out = tmp_path / "run"
+    with pytest.raises(Broken, match="psi broke"):
+        run_pipeline(config_for(panel_dir, out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    status = {e["id"]: (e["status"], e.get("error")) for e in manifest["variants"]}
+    assert status.pop("weighted") == ("failed", "psi broke")
+    assert status and set(status.values()) == {("done", None)}
+    assert not (out / "summary.csv").exists()
 
 
 def test_one_monte_carlo_draw_per_run(panel_dir, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Investigator weight inference: MAP ascent, grid cross-checks, CSV I/O."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,11 +156,14 @@ def _kkt_fixtures():
 
 @pytest.mark.parametrize("name", ["unit-kappa", "kappa-at-bound",
                                   "scattered-map"])
-def test_theta_kkt_reaches_reference_block_maximum(name):
+def test_theta_kkt_reaches_reference_block_maximum(monkeypatch, name):
     maps, kappa = _kkt_fixtures()[name]
     start, lin, theta_obj, _ = _theta_problem(maps, kappa)
     ref, ref_value = _theta_newton(start, kappa, lin, theta_obj)
+    monkeypatch.setattr(mapfuse.weights, "_WORKERS", 1)
     theta = _theta_kkt(start, kappa, lin)
+    monkeypatch.setattr(mapfuse.weights, "_WORKERS", 3)    # pixel blocks
+    assert np.array_equal(_theta_kkt(start, kappa, lin), theta)
 
     assert np.abs(theta.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(theta - ref).max() <= 1e-9
@@ -179,11 +184,11 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
     diagonal-Newton solver this replaced spent 23.6 J*N*C here.
     """
     maps = _criterion5_panel()
-    evaluated = [0]
+    evaluated = []           # appended from every sweep block's thread
 
     def counting(fn):
         def wrapper(x, *args, **kwargs):
-            evaluated[0] += np.size(x)
+            evaluated.append(np.size(x))
             return fn(x, *args, **kwargs)
         return wrapper
 
@@ -192,9 +197,45 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
                             counting(getattr(mapfuse.weights, name)))
     est = estimate_weights(maps)
     panel = len(maps) * maps[0].shape.n_pixels * 4
-    per_iteration = evaluated[0] / (est.iterations * panel)
+    per_iteration = sum(evaluated) / (est.iterations * panel)
     assert est.converged
     assert per_iteration <= 10.0, f"{per_iteration:.2f} J*N*C per iteration"
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda: (_criterion5_panel(), 10_000), id="criterion-5"),
+    pytest.param(lambda: (_panel((0.05, 0.20, 0.40), size=48), 777),
+                 id="subsample-below-grid"),
+])
+def test_worker_count_leaves_every_bit(monkeypatch, problem):
+    """Sweep blocks split rows only, so 1, 2, 3 or more workers than
+    investigators give the same bits."""
+    maps, subsample = problem()
+    fits = {}
+    for workers in (1, 2, 3, 64):
+        monkeypatch.setattr(mapfuse.weights, "_WORKERS", workers)
+        est = estimate_weights(maps, subsample=subsample)
+        fits[workers] = (est.kappa.tobytes(), est.trace, est.iterations,
+                         est.log_posterior)
+    assert all(fit == fits[1] for fit in fits.values())
+
+
+def test_error_in_a_sweep_block_surfaces_from_the_fit(monkeypatch):
+    class Broken(Exception):
+        pass
+
+    raised_on = []
+
+    def broken_psi(x, *args, **kwargs):
+        if np.ndim(x) == 3:      # the kappa Newton's (J, N, C) sweep, in a block
+            raised_on.append(threading.current_thread())
+            raise Broken("psi broke")
+        return psi(x, *args, **kwargs)
+
+    monkeypatch.setattr(mapfuse.weights, "psi", broken_psi)
+    with pytest.raises(Broken, match="psi broke"):
+        estimate_weights(_panel((0.1, 0.3), seed=33), seed=1)
+    assert raised_on and threading.current_thread() not in raised_on
 
 
 def test_ascent_check_raises_on_reported_decrease(monkeypatch):
