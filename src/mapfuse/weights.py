@@ -40,15 +40,14 @@ the exact logGamma objective; the per-investigator terms at the current
 point are kept, so neither block recomputes them. Point estimates are all
 the downstream fusion needs, which is why no sampler is involved.
 
-Parallel sweeps. The special functions release the GIL, so each sweep runs
-in _WORKERS contiguous blocks on one module thread pool: the joint terms
-and the kappa-step (Newton and acceptance) by investigator, the theta-step's
-multiplier Newton by pixel against one shared G table. Each row's result
-depends on that row alone, and every per-investigator reduction is an
+Parallel sweeps. The special functions release the GIL, so each of a sweep's
+three parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK
+elements: the joint terms and the kappa-step (Newton and acceptance) by
+investigator, the theta-step's multiplier Newton by pixel. A row's result
+depends on that row alone, and each per-investigator reduction is an
 (a * b).sum(axis=(1, 2)), whose bits do not depend on the block size
-(einsum's do), so the fit is bit-identical for any worker count. np.errstate
-is a context variable that pool threads do not inherit, so every errstate
-block sits in the code a worker runs.
+(einsum's do), so the fit is bit-identical for any worker count. Pool threads
+do not inherit np.errstate, so every errstate sits in a block's code.
 """
 
 from __future__ import annotations
@@ -71,16 +70,17 @@ _THETA_NODES = 1024                 # grid of the G table in u = log theta
 _LOG_THETA_FLOOR = np.log(1e-12)
 _KAPPA_RTOL = 1e-6                  # stop once a sweep moves no kappa further
 _WORKERS = os.cpu_count() or 1      # blocks per sweep: one per core
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="mapfuse-weights")
+_MIN_BLOCK = 4096                   # elements per block: each runs its own Newton loop
 
 
-def _in_blocks(fn, n):
-    """fn(rows) over min(_WORKERS, n) contiguous row slices of range(n), run
-    on the pool; fn returns a tuple of arrays, concatenated block by block."""
-    k = min(_WORKERS, n)
+def _in_blocks(fn, n, row_size):
+    """[fn(rows)] over contiguous slices of range(n), rows of row_size elements,
+    the first on the calling thread; leaving the pool joins every block."""
+    k = max(1, min(_WORKERS, n, n * row_size // _MIN_BLOCK))
     edges = [n * i // k for i in range(k + 1)]
-    parts = _POOL.map(lambda a, b: fn(slice(a, b)), edges[:-1], edges[1:])
-    return [np.concatenate(col) for col in zip(*parts)]
+    with ThreadPoolExecutor(k, thread_name_prefix="mapfuse-weights") as pool:
+        rest = [pool.submit(fn, slice(a, b)) for a, b in zip(edges[1:-1], edges[2:])]
+        return [fn(slice(0, edges[1]))] + [f.result() for f in rest]
 
 
 def _trigamma(x):
@@ -238,9 +238,9 @@ def _theta_kkt(theta, kappa, lin):
             if act.size == 0:
                 break
         th, _ = inverse(lin_b - lam[:, None])
-        return (th / th.sum(axis=1, keepdims=True),)
+        return th / th.sum(axis=1, keepdims=True)
 
-    return _in_blocks(solve, n_pix)[0]
+    return np.concatenate(_in_blocks(solve, n_pix, n_cls))
 
 
 def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
@@ -252,13 +252,13 @@ def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
     """
     def block(rows):
         cand = _kappa_newton_all(kappa[rows], theta, stats[rows], n_pix)
-        cand_terms = _objective_all(cand, theta, stats[rows], logp_total[rows],
-                                    n_pix)
+        cand_terms = _objective_all(cand, theta, stats[rows], logp_total[rows], n_pix)
         better = cand_terms >= terms[rows]
         return (np.where(better, cand, kappa[rows]),
                 np.where(better, cand_terms, terms[rows]))
 
-    return tuple(_in_blocks(block, kappa.size))
+    parts = _in_blocks(block, kappa.size, theta.size)
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _squarem_point(u0, u1, u2):
@@ -304,7 +304,8 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
             return (_objective_all(kappa[rows], theta, stats, logp_total[rows],
                                    n_pix), stats)
 
-        return _in_blocks(block, n_maps)
+        parts = _in_blocks(block, n_maps, theta.size)
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def sweep(kappa, theta, terms, stats):
         """One outer sweep: the theta block, kept if the exact joint does

@@ -1,6 +1,7 @@
 """Investigator weight inference: MAP ascent, grid cross-checks, CSV I/O."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -163,6 +164,7 @@ def test_theta_kkt_reaches_reference_block_maximum(monkeypatch, name):
     monkeypatch.setattr(mapfuse.weights, "_WORKERS", 1)
     theta = _theta_kkt(start, kappa, lin)
     monkeypatch.setattr(mapfuse.weights, "_WORKERS", 3)    # pixel blocks
+    monkeypatch.setattr(mapfuse.weights, "_MIN_BLOCK", 1)  # of any size
     assert np.array_equal(_theta_kkt(start, kappa, lin), theta)
 
     assert np.abs(theta.sum(axis=1) - 1.0).max() < 1e-12
@@ -209,8 +211,9 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
 ])
 def test_worker_count_leaves_every_bit(monkeypatch, problem):
     """Sweep blocks split rows only, so 1, 2, 3 or more workers than
-    investigators give the same bits."""
+    investigators give the same bits, down to blocks of one row."""
     maps, subsample = problem()
+    monkeypatch.setattr(mapfuse.weights, "_MIN_BLOCK", 1)
     fits = {}
     for workers in (1, 2, 3, 64):
         monkeypatch.setattr(mapfuse.weights, "_WORKERS", workers)
@@ -220,22 +223,38 @@ def test_worker_count_leaves_every_bit(monkeypatch, problem):
     assert all(fit == fits[1] for fit in fits.values())
 
 
-def test_error_in_a_sweep_block_surfaces_from_the_fit(monkeypatch):
+@pytest.mark.parametrize("raising", ["calling thread", "pool thread"])
+def test_error_in_a_sweep_block_surfaces_from_the_fit(monkeypatch, raising):
+    """An error raised in either block surfaces from the fit with its own
+    type, and only once the other block, still running, has ended: no sweep
+    thread outlives the fit."""
     class Broken(Exception):
         pass
 
-    raised_on = []
+    caller = threading.current_thread()
+    other_inside, raised_on, ended = threading.Event(), [], []
 
     def broken_psi(x, *args, **kwargs):
-        if np.ndim(x) == 3:      # the kappa Newton's (J, N, C) sweep, in a block
-            raised_on.append(threading.current_thread())
-            raise Broken("psi broke")
+        # the kappa Newton's (J, N, C) sweep, in a block
+        if np.ndim(x) == 3 and not raised_on:
+            if (threading.current_thread() is caller) == (raising == "calling thread"):
+                other_inside.wait(10)
+                raised_on.append(threading.current_thread())
+                raise Broken("psi broke")
+            if not other_inside.is_set():
+                other_inside.set()
+                time.sleep(0.3)  # still running when the other block raises
+                ended.append(threading.current_thread())
         return psi(x, *args, **kwargs)
 
+    monkeypatch.setattr(mapfuse.weights, "_WORKERS", 2)
     monkeypatch.setattr(mapfuse.weights, "psi", broken_psi)
     with pytest.raises(Broken, match="psi broke"):
         estimate_weights(_panel((0.1, 0.3), seed=33), seed=1)
-    assert raised_on and threading.current_thread() not in raised_on
+    assert (raised_on[0] is caller) == (raising == "calling thread")
+    assert ended
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("mapfuse-weights")]
 
 
 def test_ascent_check_raises_on_reported_decrease(monkeypatch):
