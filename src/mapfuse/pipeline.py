@@ -18,7 +18,6 @@ output to avoid implying more.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
                  read_header, read_json, save_label_raster, save_probability_raster,
                  write_csv, write_text_atomic)
 from .landscape import edge_table, write_iji_csv
-from .weights import estimate_weights, save_weights_csv
+from .weights import CORES, estimate_weights, save_weights_csv
 
 MODES = ("unweighted", "weighted", "clustered")
 METHODS = ("kmeans", "kmedoids")
@@ -189,7 +188,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # both. Once the prefix and the set tasks are done, the fit's sweep
     # blocks fill every core. Beyond the fit and the weighted task's wait,
     # threads past the core count add allocator arenas (peak RSS), not speed.
-    with ThreadPoolExecutor(max_workers=min(8, (os.cpu_count() or 1) + 2)) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, CORES + 2)) as pool:
         weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
                           if "weighted" in config.fusion_modes else None)
         key_of, prefix_error = {}, None

@@ -345,7 +345,7 @@ def test_fit_error_in_a_sweep_block_fails_only_the_weighted_set(
     psi = mapfuse.weights.psi
 
     def broken_psi(x, *args, **kw):
-        if np.ndim(x) == 3:      # the kappa Newton's (J, N, C) sweep, in a block
+        if np.ndim(x) == 3:      # the kappa step's (nodes, N, C) H table, in a block
             raise Broken("psi broke")
         return psi(x, *args, **kw)
 
