@@ -139,9 +139,9 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     return t, p, df
 
 
-def write_mc_csv(result: Accuracy, class_names, path) -> None:
+def write_mc_csv(result: Accuracy, class_names, path, *copies) -> None:
     """One row per iteration: iter,oa,ua_<class>...,pa_<class>... (NaN -> empty)."""
     header = ["iter", "oa"] + [f"ua_{n}" for n in class_names] \
         + [f"pa_{n}" for n in class_names]
     rows = zip(range(len(result.overall)), result.overall, result.users, result.producers)
-    write_csv(path, header, ([i, oa, *ua, *pa] for i, oa, ua, pa in rows))
+    write_csv(path, header, ([i, oa, *ua, *pa] for i, oa, ua, pa in rows), *copies)

@@ -23,7 +23,7 @@ from .fusion import fuse, fused_label_map
 from .io import (load_label_raster, load_probability_raster, save_entropy_raster,
                  save_label_raster, save_probability_raster)
 from .landscape import edge_table
-from .pipeline import discover_investigators, load_pipeline_config, run_pipeline
+from .pipeline import load_investigators, load_pipeline_config, run_pipeline
 from .synth import materialize_scenario
 from .weights import estimate_weights, load_weights_csv, save_weights_csv
 
@@ -74,9 +74,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    named = discover_investigators(args.input)
-    ids = [n for n, _ in named]
-    maps = [load_probability_raster(p) for _, p in named]
+    ids, maps = load_investigators(args.input)
 
     if args.cluster is not None:
         if args.k is None:

@@ -41,10 +41,13 @@ def fuse(maps, weights=None) -> ProbabilityRaster:
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
 
-    # accumulated map by map: no (J, H, W, C) copy of the panel
-    evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
-    alpha_post = 1.0 + evidence
-    return ProbabilityRaster(shape, alpha_post / (shape.n_classes + w.sum()))
+    # one buffer, added into map by map (x * 1.0 is x: unit weights skip it)
+    acc = maps[0].values * w[0]
+    for w_j, m in zip(w[1:], maps[1:]):
+        acc += m.values if w_j == 1.0 else w_j * m.values
+    acc += 1.0
+    acc /= shape.n_classes + w.sum()
+    return ProbabilityRaster(shape, acc)
 
 
 # only hard_classify, kept by name: perfbench traces it and scripts call it

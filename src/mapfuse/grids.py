@@ -7,6 +7,8 @@ instances can be shared freely across worker threads.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,19 @@ NODATA = 255
 MAX_CLASSES = 255  # NODATA occupies the last u8 code
 
 DEFAULT_EPSILON = 1e-10
+
+# the cores this process may run on (its CPU affinity); a cgroup quota is not seen
+CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def map_on_cores(fn, items, workers=CORES) -> list:
+    """[fn(x) for x in items]: the first on the calling thread, the rest on a pool
+    of ``workers`` threads made for this call, which leaving joins, also after an
+    error; the first error in item order surfaces. Pool threads lack np.errstate."""
+    with ThreadPoolExecutor(workers, thread_name_prefix="mapfuse") as pool:
+        rest = [pool.submit(fn, x) for x in items[1:]]
+        return [fn(x) for x in items[:1]] + [f.result() for f in rest]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -80,7 +95,7 @@ class ProbabilityRaster:
             raise ValueError("probability raster contains NaN or Inf")
         if (v < 0).any():
             raise ValueError("probability raster contains negative values")
-        sums = v.sum(axis=2)
+        sums = sum(v[..., c] for c in range(v.shape[2]))   # planes: no short-axis reduce
         if np.abs(sums - 1.0).max() > 1e-6:
             raise ValueError("pixel probability vectors must sum to 1")
         object.__setattr__(self, "values", _freeze(v))

@@ -58,25 +58,26 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a table, one line per row and a trailing newline. The one cell
-    format: a Python or NumPy float is ``repr(float(v))``, NaN an empty cell,
-    any other cell ``str(v)``."""
-    lines = [",".join(map(_cell, row)) for row in (header, *rows)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_csv(path, header, rows, *copies) -> None:
+    """Write a table, one line per row and a trailing newline, to ``path`` and
+    each of ``copies``, formatted once. The one cell format: a Python or NumPy
+    float is ``repr(float(v))``, NaN an empty cell, any other cell ``str(v)``."""
+    text = "\n".join(",".join(map(_cell, row)) for row in (header, *rows)) + "\n"
+    for p in (path, *copies):
+        write_text_atomic(p, text)
 
 
 def _header_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> None:
-    """Write a band-sequential (B, H, W) f32 or u8 payload, then its header."""
-    if str(path) == "":
+def _write_pair(paths, shape: GridShape, payload: np.ndarray, nodata=None) -> None:
+    """Write a band-sequential (B, H, W) f32 or u8 payload and its header to each path."""
+    if "" in map(str, paths):
         raise ValueError("empty raster path")
-    path = Path(path)
-    if path.is_dir():
-        raise ValueError(f"raster path {path} is a directory")
+    paths = [Path(p) for p in paths]
+    if dirs := [p for p in paths if p.is_dir()]:
+        raise ValueError(f"raster path {dirs[0]} is a directory")
     dtype = next(name for name, dt in _DTYPES.items() if dt == payload.dtype)
     header = {
         "width": shape.width,
@@ -87,11 +88,13 @@ def _write_pair(path, shape: GridShape, payload: np.ndarray, nodata=None) -> Non
         "nodata": nodata,
         "byte_order": "little",
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # the old header goes just before the new payload lands: a failure before
-    # that rename leaves the old pair whole, one after it leaves no header
-    write_text_atomic(path, np.ascontiguousarray(payload).tobytes(), drop=_header_path(path))
-    write_text_atomic(_header_path(path), json.dumps(header, indent=None, sort_keys=True))
+    data, text = payload.tobytes(), json.dumps(header, indent=None, sort_keys=True)
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # the old header goes just before the new payload lands: a failure before
+        # that rename leaves the old pair whole, one after it leaves no header
+        write_text_atomic(path, data, drop=_header_path(path))
+        write_text_atomic(_header_path(path), text)
 
 
 def read_json(path, what: str, required=()) -> dict:
@@ -151,9 +154,10 @@ def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarr
         b, shape.height, shape.width)
 
 
-def save_probability_raster(raster: ProbabilityRaster, path) -> None:
+def save_probability_raster(raster: ProbabilityRaster, path, *copies) -> None:
     # (H, W, C) -> band-sequential (C, H, W)
-    _write_pair(path, raster.shape, np.moveaxis(raster.values, 2, 0).astype("<f4"))
+    _write_pair((path, *copies), raster.shape,
+                np.moveaxis(raster.values, 2, 0).astype("<f4"))
 
 
 def load_probability_raster(path) -> ProbabilityRaster:
@@ -172,8 +176,8 @@ def load_probability_raster(path) -> ProbabilityRaster:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def save_label_raster(raster: LabelRaster, path) -> None:
-    _write_pair(path, raster.shape, raster.values[None, :, :], nodata=NODATA)
+def save_label_raster(raster: LabelRaster, path, *copies) -> None:
+    _write_pair((path, *copies), raster.shape, raster.values[None, :, :], nodata=NODATA)
 
 
 def load_label_raster(path) -> LabelRaster:
@@ -183,4 +187,4 @@ def load_label_raster(path) -> LabelRaster:
 
 def save_entropy_raster(shape: GridShape, values: np.ndarray, path) -> None:
     """Write an (H, W) entropy map (bits) as a single f32 band."""
-    _write_pair(path, shape, np.asarray(values, dtype="<f4")[None, :, :])
+    _write_pair((path,), shape, np.asarray(values, dtype="<f4")[None, :, :])

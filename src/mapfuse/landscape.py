@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import NODATA, LabelRaster, _freeze, pair_counts
+from .grids import LabelRaster, _freeze, pair_counts
 from .io import write_csv
 
 
@@ -67,8 +67,9 @@ def edge_table(raster: LabelRaster) -> EdgeTable:
     edge = first != second
     c = pair_counts(first[edge][None], second[edge][None], raster.shape.n_classes)[0]
     e = c + c.T
-    present = np.unique(v[v != NODATA])
-    return EdgeTable(present=tuple(int(c) for c in present), e=e)
+    # labels lie below C and NODATA (255) does not: the first C bins are the classes
+    counts = np.bincount(v.ravel(), minlength=raster.shape.n_classes)[:raster.shape.n_classes]
+    return EdgeTable(present=tuple(np.flatnonzero(counts).tolist()), e=e)
 
 
 def iji(raster: LabelRaster) -> float:

@@ -28,12 +28,12 @@ from .accuracy import monte_carlo_assess, paired_t_test, stratified_samples, wri
 from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
-from .grids import LabelRaster, common_shape, hard_classify
+from .grids import CORES, LabelRaster, common_shape, hard_classify
 from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
                  read_header, read_json, save_label_raster, save_probability_raster,
                  write_csv, write_text_atomic)
 from .landscape import edge_table, write_iji_csv
-from .weights import CORES, estimate_weights, save_weights_csv
+from .weights import estimate_weights, save_weights_csv
 
 MODES = ("unweighted", "weighted", "clustered")
 METHODS = ("kmeans", "kmedoids")
@@ -122,14 +122,25 @@ def discover_investigators(input_dir):
     return found
 
 
+def load_investigators(input_dir):
+    """(ids, maps) of a directory's investigator rasters, on one load thread per
+    core; the first bad map in index order raises."""
+    named = discover_investigators(input_dir)
+    # the caller only waits, unlike in map_on_cores, so perfbench's load spans nest
+    with ThreadPoolExecutor(CORES) as pool:
+        maps = list(pool.map(load_probability_raster, [p for _, p in named]))
+    return [n for n, _ in named], maps
+
+
 def plurality_baseline(maps) -> LabelRaster:
     """Per-pixel plurality vote over investigator hard maps (ties: lowest class)."""
     shape = common_shape(maps)
-    votes = np.zeros((shape.height, shape.width, shape.n_classes), dtype=np.int64)
-    hw = (np.arange(shape.height)[:, None], np.arange(shape.width)[None, :])
+    votes = np.zeros((shape.n_classes, shape.height, shape.width), dtype=np.int32)
     for m in maps:
-        votes[hw[0], hw[1], hard_classify(m).values] += 1
-    return LabelRaster(shape, votes.argmax(axis=2))
+        label = hard_classify(m).values
+        for c in range(shape.n_classes):
+            votes[c] += label == c
+    return LabelRaster(shape, votes.argmax(axis=0))
 
 
 def _load(config):
@@ -139,8 +150,7 @@ def _load(config):
     if not (ref_path.exists() and Path(str(ref_path) + ".json").exists()):
         raise ValueError(f"reference raster {ref_path} not found")
     reference = load_label_raster(ref_path)
-    named = discover_investigators(config.input_dir)
-    maps = [load_probability_raster(p) for _, p in named]
+    ids, maps = load_investigators(config.input_dir)
     if common_shape(maps) != reference.shape:
         raise ValueError(f"map shape {maps[0].shape} != reference {reference.shape}")
     if len(maps) < 2 and {"weighted", "clustered"} & set(config.fusion_modes):
@@ -152,7 +162,7 @@ def _load(config):
     # drawing checks the sample sizes, so a bad size fails before the fit
     samples = stratified_samples(reference, config.mc_iterations,
                                  config.per_class_samples, config.seed)
-    return reference, [n for n, _ in named], maps, samples
+    return reference, ids, maps, samples
 
 
 def _plan(config, maps, out, key_of):
@@ -231,12 +241,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
             mc = monte_carlo_assess(label, reference, config.mc_iterations,
                                     config.per_class_samples, config.seed,
                                     samples=samples)
-            for vid in ids_of[key]:
-                if prob is not None:
-                    save_probability_raster(prob, out / f"{vid}_prob")
-                save_label_raster(label, out / f"{vid}_label")
-                write_mc_csv(mc, reference.shape.class_names,
-                             out / f"{vid}_mc.csv")
+            # encoded once, written under every variant id naming the set
+            if prob is not None:
+                save_probability_raster(prob, *(out / f"{vid}_prob" for vid in ids_of[key]))
+            save_label_raster(label, *(out / f"{vid}_label" for vid in ids_of[key]))
+            write_mc_csv(mc, reference.shape.class_names,
+                         *(out / f"{vid}_mc.csv" for vid in ids_of[key]))
             return edge_table(label), mc
 
         # no set runs after a prefix failure; otherwise the weighted task

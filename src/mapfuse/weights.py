@@ -47,10 +47,10 @@ point are kept, so neither block recomputes them. Point estimates are all
 the downstream fusion needs, which is why no sampler is involved.
 
 Parallel sweeps. The special functions release the GIL, so each of a sweep's
-parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements: the
-joint terms and the kappa-step's acceptance by investigator, the H table by
-node, the theta-step's multiplier Newton by pixel. _WORKERS is the number of
-cores the process may run on (its CPU affinity), not a cgroup quota. A row's
+parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements on
+grids.map_on_cores: the joint terms and the kappa-step's acceptance by
+investigator, the H table by node, the theta-step's multiplier Newton by
+pixel. _WORKERS is grids.CORES, the cores of the CPU affinity. A row's
 result depends on that row alone, and each per-row reduction is an
 (a * b).sum(axis=(1, 2)), whose bits do not depend on the block size
 (einsum's do); the kappa Newton on the interpolant runs on the calling
@@ -60,8 +60,6 @@ not inherit np.errstate, so every errstate sits in a block's code.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +68,7 @@ from numpy.polynomial.chebyshev import chebder
 from scipy.fft import dct
 from scipy.special import gammaln, psi
 
-from .grids import common_shape
+from .grids import CORES, common_shape, map_on_cores
 from .io import write_csv
 
 KAPPA_MIN = 1e-3
@@ -81,21 +79,16 @@ _LOG_THETA_FLOOR = np.log(1e-12)
 _KAPPA_RTOL = 1e-6                  # stop once a sweep moves no kappa further
 _CHEB_TOL = 1e-14                   # last coefficients of the H table, relative
 _MAX_INTERVALS = 128                # finest Chebyshev-Lobatto grid of the H table
-# the cores this process may run on; a cgroup CPU quota is not seen
-CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
 _WORKERS = CORES                    # blocks per sweep: one per core
 _MIN_BLOCK = 4096                   # elements per block: each runs its own Newton loop
 
 
 def _in_blocks(fn, n, row_size):
     """[fn(rows)] over contiguous slices of range(n), rows of row_size elements,
-    the first on the calling thread; leaving the pool joins every block."""
+    one slice per worker of map_on_cores."""
     k = max(1, min(_WORKERS, n, n * row_size // _MIN_BLOCK))
     edges = [n * i // k for i in range(k + 1)]
-    with ThreadPoolExecutor(k, thread_name_prefix="mapfuse-weights") as pool:
-        rest = [pool.submit(fn, slice(a, b)) for a, b in zip(edges[1:-1], edges[2:])]
-        return [fn(slice(0, edges[1]))] + [f.result() for f in rest]
+    return map_on_cores(fn, [slice(a, b) for a, b in zip(edges, edges[1:])], k)
 
 
 def _trigamma(x):

@@ -34,6 +34,37 @@ def test_entropy_exact_values():
     assert h[2] == 1.0
 
 
+def _entropy_map_reference(p):
+    """The np.where form, reduced by numpy over the class axis."""
+    v = p.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(v > 0, v * np.log2(v), 0.0)
+    return np.clip(-terms.sum(axis=2), 0.0, np.log2(p.shape.n_classes))
+
+
+def _with_exact_zeros(rng, c, size=40):
+    g = rng.gamma(0.5, size=(size, size, c))
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[0, 0] = 0.0
+    g[0, 0, c - 1] = 1.0            # a one-hot pixel: entropy exactly 0
+    g[g.sum(axis=2) == 0, 0] = 1.0
+    return make_prob(g / g.sum(axis=2, keepdims=True))
+
+
+@pytest.mark.parametrize("c", [2, 4, 7])
+def test_entropy_map_has_the_bits_of_the_reduction_below_8_classes(c):
+    p = _with_exact_zeros(np.random.default_rng(c), c)
+    assert (p.values == 0).any()
+    assert np.array_equal(entropy_map(p), _entropy_map_reference(p))
+
+
+def test_entropy_map_matches_the_reduction_to_rounding_at_12_classes():
+    """numpy sums 8 or more elements pairwise, not in class order."""
+    p = _with_exact_zeros(np.random.default_rng(12), 12)
+    got, want = entropy_map(p), _entropy_map_reference(p)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_entropy_bounds_and_uniform_maximum():
     rng = np.random.default_rng(0)
     for c in (2, 3, 4, 6):

@@ -110,6 +110,23 @@ def test_agreement_with_counting():
             < len(votes) * 3 * DEFAULT_EPSILON)
 
 
+def _fuse_reference(maps, weights):
+    """The weighted sum the closed form reads, as a Python sum of products."""
+    w = np.asarray(weights, dtype=np.float64)
+    evidence = sum(w_j * m.values for w_j, m in zip(w, maps))
+    return (1.0 + evidence) / (maps[0].shape.n_classes + w.sum())
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0, 1.0), (0.3, 1.0, 2.5, 7.125),
+                                     (4.0, 0.1, 1.0, 1.0)])
+def test_fuse_has_the_bits_of_the_sum_of_products(weights):
+    rng = np.random.default_rng(len(weights))
+    maps = [random_prob(rng, 9, 11, 5) for _ in weights]
+    assert np.array_equal(fuse(maps, weights=weights).values,
+                          _fuse_reference(maps, weights))
+    assert np.array_equal(fuse(maps).values, _fuse_reference(maps, np.ones(4)))
+
+
 def test_fused_label_map_examples():
     mean = np.array([[[0.5, 1 / 6, 1 / 6, 1 / 6],
                       [0.25, 0.25, 0.25, 0.25],

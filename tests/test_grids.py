@@ -1,12 +1,16 @@
 """Raster container validation and the argmax labeling rule."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
-                           ProbabilityRaster, hard_classify, pair_counts)
+                           ProbabilityRaster, hard_classify, map_on_cores,
+                           pair_counts)
 
 from conftest import make_prob
 
@@ -46,6 +50,36 @@ def test_probability_raster_rejects_bad_values():
     bad[0, 1] = (0.5, 0.4, 0.2)  # does not sum to 1
     with pytest.raises(ValueError):
         ProbabilityRaster(GridShape(2, 2, 3), bad)
+
+
+def test_probability_raster_unit_sum_tolerance():
+    v = np.full((3, 2, 4), 0.25)
+    v[2, 1] = (0.25, 0.25, 0.25, 0.25 + 2e-6)
+    with pytest.raises(ValueError, match="sum to 1"):
+        ProbabilityRaster(GridShape(2, 3, 4), v)
+    v[2, 1, 3] = 0.25 + 5e-7
+    ProbabilityRaster(GridShape(2, 3, 4), v)
+
+
+def test_map_on_cores_keeps_item_order_and_joins_before_the_first_error():
+    assert map_on_cores(lambda x: x * x, range(7), workers=3) == [x * x for x in range(7)]
+    assert map_on_cores(lambda x: x, []) == []
+    caller, ran = threading.current_thread(), []
+
+    def fn(x):
+        if x == 4:                  # a later error, still running at the first
+            time.sleep(0.05)
+        ran.append((x, threading.current_thread() is caller))
+        if x in (2, 4):
+            raise ValueError(f"item {x}")
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="item 2"):
+        map_on_cores(fn, range(6), workers=2)
+    assert sorted(x for x, _ in ran) == list(range(6))     # every item ended
+    assert [x for x, on_caller in ran if on_caller] == [0]
+    assert threading.active_count() == before
 
 
 def test_label_raster_accepts_nodata_and_rejects_stray_values():

@@ -100,6 +100,14 @@ def test_nodata_contributes_nothing():
     assert t.e.sum() // 2 == t.total
 
 
+def test_present_classes_skip_nodata_and_absent_classes():
+    v = np.array([[0, NODATA, 3], [3, NODATA, 0], [4, 4, 0]])
+    t = edge_table(make_labels(v, n_classes=6))
+    assert t.present == (0, 3, 4)
+    assert t.present == tuple(int(c) for c in np.unique(v[v != NODATA]))
+    assert edge_table(make_labels(np.full((2, 3), NODATA), n_classes=2)).present == ()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=2, max_value=8),

@@ -15,9 +15,10 @@ import mapfuse.accuracy
 import mapfuse.pipeline
 import mapfuse.weights
 from mapfuse.accuracy import stratified_samples
+from mapfuse.cli import main
 from mapfuse.clustering import load_cluster_model
 from mapfuse.fusion import fuse, fused_label_map
-from mapfuse.grids import GridShape, LabelRaster
+from mapfuse.grids import GridShape, LabelRaster, hard_classify
 from mapfuse.io import (load_label_raster, load_probability_raster,
                         save_label_raster, save_probability_raster)
 from mapfuse.pipeline import (PipelineConfig, discover_investigators,
@@ -145,6 +146,36 @@ def test_one_map_panel_fails_before_the_pool(panel_dir, tmp_path, mode):
         run_pipeline(config_for(one, tmp_path / "o", reference=str(panel_dir / "truth"),
                                 fusion_modes=("unweighted", mode)))
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "fuse"])
+def test_first_bad_map_fails_the_pooled_load(tmp_path, capsys, command):
+    """The 3rd map holds a NaN, the 5th is truncated: the 3rd is named, with
+    exit code 2, nothing is created and no loader thread is left behind."""
+    data, rng = tmp_path / "data", np.random.default_rng(5)
+    ids = [f"inv{j}" for j in range(7)]
+    for name in ids:
+        save_probability_raster(make_prob(rng.dirichlet(np.ones(3), size=(6, 5))),
+                                data / name)
+    raw = bytearray((data / "inv2").read_bytes())
+    raw[8:12] = np.float32(np.nan).tobytes()
+    (data / "inv2").write_bytes(bytes(raw))
+    (data / "inv4").write_bytes((data / "inv4").read_bytes()[:-4])
+    (data / "index.json").write_text(json.dumps({"investigators": ids}))
+    save_label_raster(LabelRaster(GridShape(5, 6, 3), rng.integers(0, 3, size=(6, 5))),
+                      data / "truth")
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"input_dir": str(data), "reference": str(data / "truth"),
+         "output_dir": str(tmp_path / "out"), "mc_iterations": 2,
+         "per_class_samples": 1, "k_values": [2]}))
+    before = threading.active_count()
+    argv = (["pipeline", str(tmp_path / "c.json")] if command == "pipeline"
+            else ["fuse", "-i", str(data), "-o", str(tmp_path / "out")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "inv2" in err[0] and "NaN" in err[0], err
+    assert not (tmp_path / "out").exists()
+    assert threading.active_count() == before
 
 
 def test_missing_reference(panel_dir, tmp_path):
@@ -430,6 +461,29 @@ def test_plurality_baseline_majority_and_ties():
     for panel in ([one, two], [two, three]):
         with pytest.raises(ValueError, match="shape mismatch"):
             plurality_baseline(panel)
+
+
+def _plurality_reference(maps):
+    """Votes counted by a fancy-indexed add into (H, W, C), argmax over C."""
+    s = maps[0].shape
+    votes = np.zeros((s.height, s.width, s.n_classes), dtype=np.int64)
+    hw = (np.arange(s.height)[:, None], np.arange(s.width)[None, :])
+    for m in maps:
+        votes[hw[0], hw[1], hard_classify(m).values] += 1
+    return votes.argmax(axis=2)
+
+
+@pytest.mark.parametrize("n_maps, n_classes", [(2, 2), (4, 3), (6, 5), (9, 4)])
+def test_plurality_baseline_matches_the_indexed_vote_with_ties(n_maps, n_classes):
+    rng = np.random.default_rng(n_maps)
+    labels = rng.integers(0, n_classes, size=(n_maps, 12, 10))
+    labels[: n_maps // 2, 0] = n_classes - 1      # planted ties: top class vs. class 0
+    labels[n_maps // 2:, 0] = 0
+    maps = [make_prob(np.where(np.arange(n_classes) == lab[..., None], 0.7,
+                               0.3 / (n_classes - 1))) for lab in labels]
+    got = plurality_baseline(maps).values
+    assert np.array_equal(got, _plurality_reference(maps))
+    assert (got[0] == 0).all()
 
 
 # ------------------------------------------------------------ discovery

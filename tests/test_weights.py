@@ -340,7 +340,7 @@ def test_error_in_a_sweep_block_surfaces_from_the_fit(monkeypatch, raising):
     assert (raised_on[0] is caller) == (raising == "calling thread")
     assert ended
     assert not [t for t in threading.enumerate()
-                if t.name.startswith("mapfuse-weights")]
+                if t.name.startswith("mapfuse")]
 
 
 def test_ascent_check_raises_on_reported_decrease(monkeypatch):
