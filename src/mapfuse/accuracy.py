@@ -143,5 +143,6 @@ def write_mc_csv(result: Accuracy, class_names, path, *copies) -> None:
     """One row per iteration: iter,oa,ua_<class>...,pa_<class>... (NaN -> empty)."""
     header = ["iter", "oa"] + [f"ua_{n}" for n in class_names] \
         + [f"pa_{n}" for n in class_names]
-    rows = zip(range(len(result.overall)), result.overall, result.users, result.producers)
+    rows = zip(range(len(result.overall)), result.overall.tolist(), result.users.tolist(),
+               result.producers.tolist())            # Python floats: the fast cells
     write_csv(path, header, ([i, oa, *ua, *pa] for i, oa, ua, pa in rows), *copies)

@@ -74,16 +74,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    # the group options are checked before any map is read
+    if (args.cluster is None) != (args.k is None):
+        raise ValueError("--cluster requires -k" if args.k is None else "-k requires --cluster")
+    if args.cluster is not None and args.k < 2:
+        raise ValueError(f"k must be at least 2, got {args.k}")
+    if args.cluster is not None and not 1 <= args.group <= args.k:
+        raise ValueError(f"--group must be in [1, {args.k}]")
     ids, maps = load_investigators(args.input)
 
     if args.cluster is not None:
-        if args.k is None:
-            raise ValueError("--cluster requires -k")
         feats = entropy_features(maps)
         fit = kmeans_cluster if args.cluster == "kmeans" else kmedoids_cluster
         model = fit(feats, args.k, args.seed)
-        if not 1 <= args.group <= args.k:
-            raise ValueError(f"--group must be in [1, {args.k}]")
         keep = np.flatnonzero(model.assignment == args.group - 1)
         ids = [ids[i] for i in keep]
         maps = [maps[i] for i in keep]

@@ -4,7 +4,8 @@ Maps are grouped by how their per-pixel uncertainty is distributed: each
 map is reduced to a flat vector of pixel-wise Shannon entropies (bits).
 Entropy rasters share one unit and one range, so rows are deliberately left
 unstandardized. The rows and the two J x J distance matrices between them
-are built once, across the cores, with the same bits on any core count:
+(squared out from the J(J-1)/2 condensed pairs) are built once, across the
+cores, with the same bits on any core count:
 hand-rolled k-Means (Lloyd on squared Euclidean distances, via the kernel
 k-means identity) and k-Medoids/PAM (Manhattan) read only the matrices.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import pdist, squareform
 
 from .grids import ProbabilityRaster, _freeze, common_shape, map_on_cores
 from .io import is_bare_file_name, read_json, write_text_atomic
@@ -42,7 +43,8 @@ def entropy_map(p: ProbabilityRaster) -> np.ndarray:
 @dataclass(frozen=True)
 class EntropyFeatureMatrix:
     """One flattened entropy raster per investigator map, and the two J x J
-    distance matrices between them that the clusterers read."""
+    distance matrices between them that the clusterers read, each squared out
+    from its J(J-1)/2 condensed pairs: half the work of the full square."""
 
     rows: np.ndarray          # (J, H*W) bits
     max_entropy: float        # log2(C), the feature-space ceiling
@@ -57,7 +59,8 @@ class EntropyFeatureMatrix:
             raise ValueError("entropy features outside [0, log2(C)]")
         object.__setattr__(self, "rows", _freeze(r))
         metrics = ("sqeuclidean", "cityblock")
-        for metric, d in zip(metrics, map_on_cores(lambda m: cdist(r, r, m), metrics)):
+        dists = map_on_cores(lambda m: squareform(pdist(r, m)), metrics)
+        for metric, d in zip(metrics, dists):
             object.__setattr__(self, metric, _freeze(d))
 
     @property

@@ -163,11 +163,28 @@ def pair_counts(a, b, n_classes: int) -> np.ndarray:
     return counts.reshape(n, c, c)
 
 
+def first_max(planes) -> np.ndarray:
+    """u8 index of the first largest of C >= 2 same-shape planes, as np.argmax
+    over a leading class axis: a pairwise tree in which a pair keeps its lower
+    half's label unless the upper half's value is strictly larger."""
+    nodes = [(p, np.uint8(i)) for i, p in enumerate(planes)]    # (value, label)
+    while len(nodes) > 1:
+        merged = []
+        for (a, la), (b, lb) in zip(nodes[::2], nodes[1::2]):
+            upper = b > a
+            # every upper label exceeds every lower one: lb - la never wraps
+            merged.append((np.maximum(a, b) if len(nodes) > 2 else None,
+                           la + upper * (lb - la)))
+        nodes = merged + nodes[len(merged) * 2:]
+    return nodes[0][1]
+
+
 def hard_classify(raster: ProbabilityRaster) -> LabelRaster:
-    """Per-pixel argmax over class probabilities.
+    """Per-pixel argmax over class probabilities, by ``first_max`` of the class
+    planes (faster than a reduction over the short last axis).
 
     Ties break toward the lowest class index so output is deterministic
     and independent of investigator ordering.
     """
-    labels = np.argmax(raster.values, axis=2).astype(np.uint8)
-    return LabelRaster(raster.shape, labels)
+    v = raster.values
+    return LabelRaster(raster.shape, first_max([v[..., c] for c in range(v.shape[2])]))

@@ -54,7 +54,8 @@ def write_text_atomic(path, data: str | bytes, drop=None) -> None:
 
 def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
-        return "" if np.isnan(v) else repr(float(v))
+        v = float(v)
+        return "" if v != v else repr(v)             # v != v: NaN
     return str(v)
 
 

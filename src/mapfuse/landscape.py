@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelRaster, _freeze, pair_counts
+from .grids import LabelRaster, _freeze
 from .io import write_csv
 
 
@@ -60,16 +60,17 @@ class EdgeTable:
 
 
 def edge_table(raster: LabelRaster) -> EdgeTable:
-    v = raster.values
-    # one row of the rook pairs with differing labels: (left, right), then (upper, lower)
-    first = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])
-    second = np.concatenate([v[:, 1:].ravel(), v[1:, :].ravel()])
-    edge = first != second
-    c = pair_counts(first[edge][None], second[edge][None], raster.shape.n_classes)[0]
-    e = c + c.T
-    # labels lie below C and NODATA (255) does not: the first C bins are the classes
-    counts = np.bincount(v.ravel(), minlength=raster.shape.n_classes)[:raster.shape.n_classes]
-    return EdgeTable(present=tuple(np.flatnonzero(counts).tolist()), e=e)
+    v, c = raster.values, raster.shape.n_classes
+    # each rook pair (left, right), then (upper, lower), as the 16-bit code a << 8 | b
+    counts = sum(np.bincount(((a.astype(np.uint16) << 8) | b).ravel(), minlength=65536)
+                 for a, b in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])))
+    # labels lie below C and NODATA (255) does not: the first C x C block holds
+    # the class pairs; its diagonal, pairs of equal labels, is no edge
+    pairs = counts.reshape(256, 256)[:c, :c]
+    e = pairs + pairs.T
+    np.fill_diagonal(e, 0)
+    present = np.bincount(v.ravel(), minlength=c)[:c]
+    return EdgeTable(present=tuple(np.flatnonzero(present).tolist()), e=e)
 
 
 def iji(raster: LabelRaster) -> float:

@@ -28,7 +28,7 @@ from .accuracy import monte_carlo_assess, paired_t_test, stratified_samples, wri
 from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
-from .grids import CORES, LabelRaster, common_shape, hard_classify
+from .grids import CORES, LabelRaster, common_shape, first_max, hard_classify
 from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
                  read_header, read_json, save_label_raster, save_probability_raster,
                  write_csv, write_text_atomic)
@@ -135,12 +135,13 @@ def load_investigators(input_dir):
 def plurality_baseline(maps) -> LabelRaster:
     """Per-pixel plurality vote over investigator hard maps (ties: lowest class)."""
     shape = common_shape(maps)
-    votes = np.zeros((shape.n_classes, shape.height, shape.width), dtype=np.int32)
+    votes = np.zeros((shape.n_classes, shape.height, shape.width),
+                     dtype=np.min_scalar_type(len(maps)))    # holds up to J votes
     for m in maps:
         label = hard_classify(m).values
         for c in range(shape.n_classes):
             votes[c] += label == c
-    return LabelRaster(shape, votes.argmax(axis=0))
+    return LabelRaster(shape, first_max(votes))
 
 
 def _load(config):

@@ -150,6 +150,26 @@ def test_fuse_cluster_group(work, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--cluster", "kmeans", "-k", "2", "--group", "3"], "--group must be in [1, 2]"),
+    (["--cluster", "kmedoids", "-k", "3", "--group", "0"], "--group must be in [1, 3]"),
+    (["--cluster", "kmeans", "-k", "1"], "k must be at least 2, got 1"),
+    (["--cluster", "kmeans"], "--cluster requires -k"),
+    (["-k", "2"], "-k requires --cluster"),
+], ids=["group-above-k", "group-0", "k-1", "no-k", "no-cluster"])
+def test_fuse_checks_group_options_before_loading(work, capsys, monkeypatch, tmp_path,
+                                                  flags, reason):
+    loads = []
+    monkeypatch.setattr("mapfuse.cli.load_investigators",
+                        lambda *a: loads.append(a) or ([], []))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["fuse", "-i", str(work / "data"), "-o", str(out), *flags])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and err == [f"error: {reason}"], err
+    assert loads == [] and not out.exists()
+
+
 def test_fewer_distinct_maps_than_k_exits_2(work, capsys, tmp_path):
     # 8 maps, 3 of them distinct: k = 4 would have to split copies of a map
     data = tmp_path / "dup"

@@ -104,12 +104,15 @@ def _features(rows, max_entropy=20.0):
 
 
 def test_feature_matrix_distances_are_cdist():
-    rows = np.random.default_rng(2).uniform(0, 2, size=(7, 30))
-    f = _features(rows)
-    for metric in ("sqeuclidean", "cityblock"):
-        d = getattr(f, metric)
-        assert (d == cdist(rows, rows, metric)).all()
-        assert not d.flags.writeable
+    # the condensed pairs, squared out, give the full-square matrix's bits
+    for n_maps in (1, 2, 7):
+        rows = np.random.default_rng(2).uniform(0, 2, size=(n_maps, 30))
+        f = _features(rows)
+        for metric in ("sqeuclidean", "cityblock"):
+            d = getattr(f, metric)
+            assert d.shape == (n_maps, n_maps)
+            assert (d == cdist(rows, rows, metric)).all()
+            assert not d.flags.writeable
 
 
 def test_clusterers_never_reach_the_rows_after_the_features(monkeypatch):
@@ -118,7 +121,7 @@ def test_clusterers_never_reach_the_rows_after_the_features(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pixel-length distance computed per call")
 
-    monkeypatch.setattr(clustering, "cdist", refuse)
+    monkeypatch.setattr(clustering, "pdist", refuse)
     for fit in (kmeans_cluster, kmedoids_cluster):
         assert fit(f, 3, seed=0).k == 3
 
@@ -388,9 +391,8 @@ def test_cluster_model_rejects_bad_assignment():
 def test_lloyd_inertia_check_is_a_runtime_error(monkeypatch):
     # assigning every point to its farthest centroid raises the inertia;
     # the check must fire as an explicit error, also under python -O
-    real = clustering.cdist
-    monkeypatch.setattr(clustering, "cdist",
-                        lambda a, b, metric: -real(a, b, metric))
+    real = clustering.pdist
+    monkeypatch.setattr(clustering, "pdist", lambda x, metric: -real(x, metric))
     rows = np.random.default_rng(5).random((8, 6))
     with pytest.raises(RuntimeError, match="inertia increased"):
         kmeans_cluster(_features(rows, max_entropy=1.0), 3, seed=0)

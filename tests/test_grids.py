@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
-                           ProbabilityRaster, hard_classify, map_on_cores,
-                           pair_counts)
+                           ProbabilityRaster, first_max, hard_classify,
+                           map_on_cores, pair_counts)
 
 from conftest import make_prob
 
@@ -130,6 +130,24 @@ def test_hard_classify_matches_argmax(seed):
     g = rng.gamma(1.0, size=(3, 4, 5)) + 1e-12
     p = g / g.sum(axis=2, keepdims=True)
     assert (hard_classify(make_prob(p)).values == p.argmax(axis=2)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=12),
+       st.sampled_from([np.float64, np.int64, np.uint8]))
+def test_first_max_is_argmax_over_the_planes_with_ties(seed, c, dtype):
+    # values from {0, 0.5, 1} (integers: {0, 1, 2}) tie often, at every level
+    # of the tree, for odd and even plane counts
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, 3, size=(c, 5, 7))
+    planes = (steps / 2 if dtype is np.float64 else steps).astype(dtype)
+    got = first_max(planes)
+    assert got.dtype == np.uint8
+    assert (got == planes.argmax(axis=0)).all()
+    # the planes of an (H, W, C) array, as hard_classify passes them
+    last = np.moveaxis(planes, 0, 2)
+    assert (first_max([last[..., k] for k in range(c)]) == got).all()
 
 
 

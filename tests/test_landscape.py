@@ -124,6 +124,21 @@ def test_edge_table_matches_brute_force(seed, h, w, c):
     assert (math.isnan(got) and math.isnan(want)) or got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_classes", [200, 255])
+def test_edge_table_with_labels_next_to_nodata(n_classes):
+    # labels up to C - 1 (254 at C = 255) share a code row with NODATA (255)
+    rng = np.random.default_rng(n_classes)
+    top = np.array([0, 1, n_classes - 2, n_classes - 1])
+    v = np.where(rng.random((12, 10)) < 0.5, rng.choice(top, size=(12, 10)),
+                 rng.integers(0, n_classes, size=(12, 10)))
+    v[rng.random(size=(12, 10)) < 0.15] = NODATA
+    r = LabelRaster(GridShape(10, 12, n_classes), v)
+    t = edge_table(r)
+    assert (t.e == brute_force_edges(r.values, n_classes)).all()
+    assert t.e[n_classes - 1].any()
+    assert t.present == tuple(sorted(set(v[v != NODATA].tolist())))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_iji_invariances(seed):

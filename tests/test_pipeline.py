@@ -486,6 +486,23 @@ def test_plurality_baseline_matches_the_indexed_vote_with_ties(n_maps, n_classes
     assert (got[0] == 0).all()
 
 
+@pytest.mark.parametrize("n_maps", [255, 256, 300])
+def test_plurality_baseline_counts_past_the_vote_dtype(n_maps):
+    # J = 255 fits u8 votes, 256 and 300 need u16: a class with 256 votes must
+    # not wrap to 0 and lose to a class with 44
+    labels = np.zeros((n_maps, 1, 3), dtype=np.int64)
+    labels[:, 0, 0] = 2                           # unanimous
+    labels[:n_maps // 2, 0, 1] = 1                # even J ties (1 wins); J = 255: 2 by one
+    labels[n_maps // 2:, 0, 1] = 2
+    labels[:44, 0, 2] = 0                         # 44 for class 0, the rest class 1
+    labels[44:, 0, 2] = 1
+    maps = [make_prob(np.where(np.arange(3) == lab[..., None], 0.7, 0.15))
+            for lab in labels]
+    got = plurality_baseline(maps).values
+    assert np.array_equal(got, _plurality_reference(maps))
+    assert got.tolist() == [[2, 1 if n_maps % 2 == 0 else 2, 1]]
+
+
 # ------------------------------------------------------------ discovery
 
 def test_discovery_prefers_index(panel_dir):
