@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .accuracy import accuracy_report, confusion, monte_carlo_assess
-from .clustering import entropy_features, entropy_map, kmeans_cluster, kmedoids_cluster
+from .clustering import METHODS, entropy_features, entropy_map, kmeans_cluster, kmedoids_cluster
 from .fusion import fuse, fused_label_map
 from .io import (load_label_raster, load_probability_raster, save_entropy_raster,
                  save_label_raster, save_probability_raster)
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--weights", default=None,
                    help="'auto' to infer confidence weights, or a CSV path")
-    p.add_argument("--cluster", choices=["kmeans", "kmedoids"], default=None,
+    p.add_argument("--cluster", choices=METHODS, default=None,
                    help="cluster maps by entropy and fuse one group only")
     p.add_argument("-k", type=int, default=None, help="cluster count")
     p.add_argument("--group", type=int, default=1, help="1-based group index")
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:          # fuse and assess draw from it
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, NotADirectoryError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:                     # noqa: BLE001 - CLI boundary

@@ -23,8 +23,11 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .grids import ProbabilityRaster, _freeze, common_shape, map_on_cores
+from .grids import ProbabilityRaster, _freeze, common_shape, map_on_cores, pair_counts
 from .io import is_bare_file_name, read_json, write_text_atomic
+
+
+METHODS = ("kmeans", "kmedoids")
 
 
 def entropy_map(p: ProbabilityRaster) -> np.ndarray:
@@ -63,10 +66,6 @@ class EntropyFeatureMatrix:
         for metric, d in zip(metrics, dists):
             object.__setattr__(self, metric, _freeze(d))
 
-    @property
-    def n_maps(self) -> int:
-        return self.rows.shape[0]
-
 
 def entropy_features(maps) -> EntropyFeatureMatrix:
     shape = common_shape(maps)
@@ -81,7 +80,7 @@ def entropy_features(maps) -> EntropyFeatureMatrix:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    method: str               # "kmeans" | "kmedoids"
+    method: str               # one of METHODS
     k: int
     assignment: np.ndarray    # (J,) cluster index per map
     centers: np.ndarray       # kmeans: (k, F) centroids; kmedoids: (k,) map indices
@@ -89,7 +88,7 @@ class ClusterModel:
     seed: int
 
     def __post_init__(self):
-        if self.method not in ("kmeans", "kmedoids"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         a = np.asarray(self.assignment, dtype=np.int64)
         if set(np.unique(a)) != set(range(self.k)):
@@ -171,48 +170,37 @@ def kmeans_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Cluster
     return ClusterModel("kmeans", k, assign, centers, inertia, seed)
 
 
-def _pam_cost(dist: np.ndarray, medoids) -> float:
-    return float(dist[:, medoids].min(axis=1).sum())
-
-
 def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> ClusterModel:
-    """PAM build + swap under Manhattan distance; seed breaks cost ties."""
+    """PAM build + swap under Manhattan distance; seed breaks cost ties. Each cost
+    sums a contiguous row of the symmetric matrix: a 1-D sum's bits over the maps."""
     _check_k(k, features)
     dist = features.cityblock
-    n = features.n_maps
     rng = np.random.default_rng(seed)
 
     def pick(cands, costs):
-        lo = costs.min()
-        tied = cands[costs <= lo]
+        tied = cands[costs <= costs.min()]
         return int(tied[rng.integers(len(tied))])
 
     # BUILD: greedy seeding, first medoid minimizes total distance
-    medoids = [pick(np.arange(n), dist.sum(axis=1))]
+    medoids = [pick(np.arange(len(dist)), dist.sum(axis=1))]
     while len(medoids) < k:
-        nearest = dist[:, medoids].min(axis=1)
-        cands = np.array([j for j in range(n) if j not in medoids])
-        costs = np.array([np.minimum(nearest, dist[:, j]).sum() for j in cands])
-        medoids.append(pick(cands, costs))
+        cands = np.delete(np.arange(len(dist)), medoids)
+        nearest = dist[medoids].min(axis=0)
+        medoids.append(pick(cands, np.minimum(nearest, dist[cands]).sum(axis=1)))
 
-    # SWAP: steepest improving swap until local optimum
-    cost = _pam_cost(dist, medoids)
-    while True:
-        swaps, costs = [], []
-        for mi, m in enumerate(medoids):
-            for h in range(n):
-                if h in medoids:
-                    continue
-                trial = medoids.copy()
-                trial[mi] = h
-                swaps.append((mi, h))
-                costs.append(_pam_cost(dist, trial))
-        costs = np.array(costs)
-        if len(costs) == 0 or costs.min() >= cost:
+    # SWAP: steepest improving move (medoid i -> map h) until a local optimum;
+    # without medoid i, each map is as near as its nearest other medoid
+    cost = float(dist[medoids].min(axis=0).sum())
+    while len(medoids) < len(dist):
+        near = dist[medoids]
+        first, second = np.sort(near, axis=0)[:2]
+        other = np.where(near == first, second, first)                 # (k, J)
+        hs = np.delete(np.arange(len(dist)), medoids)
+        costs = np.minimum(other[:, None], dist[hs]).sum(axis=2)       # (k, J - k)
+        if costs.min() >= cost:
             break
-        mi, h = swaps[pick(np.arange(len(swaps)), costs)]
-        medoids[mi] = h
-        cost = float(costs.min())
+        i, h = divmod(pick(np.arange(costs.size), costs.ravel()), len(hs))
+        medoids[i], cost = int(hs[h]), float(costs.min())
 
     medoids = np.array(sorted(medoids))
     assign = _canonical(dist[:, medoids].argmin(axis=1), k)
@@ -224,15 +212,14 @@ def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Clust
 
 def adjusted_rand_index(a, b) -> float:
     """Chance-corrected partition agreement; 1.0 means identical partitions."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("partitions must label the same items")
     n = len(a)
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
-    table = np.bincount(ia * len(ub) + ib, minlength=len(ua) * len(ub)).reshape(
-        len(ua), len(ub))
+    table = pair_counts(ia.reshape(1, -1), ib.reshape(1, -1),
+                        max(len(ua), len(ub)))[0, :len(ua), :len(ub)]
     comb = lambda x: x * (x - 1) / 2.0
     sum_ij = comb(table).sum()
     sum_a = comb(table.sum(axis=1)).sum()

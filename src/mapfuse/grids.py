@@ -154,13 +154,19 @@ def common_shape(maps) -> GridShape:
 
 
 def pair_counts(a, b, n_classes: int) -> np.ndarray:
-    """(n, C, C) int64 counts of the label pairs (a[i, s], b[i, s]) in each
-    row i of two (n, S) label arrays, skipping NODATA on either side."""
+    """(n, C, C) int64 counts of the label pairs (a[i, s], b[i, s]) in each row i
+    of two (n, S) arrays of non-negative labels. A label at or above C, as NODATA,
+    is folded onto a spare code C whose row and column are cut off: not counted."""
     a, b = np.asarray(a), np.asarray(b)
-    n, c = len(a), n_classes
-    cell = (np.arange(n)[:, None] * c + a) * c + b   # int64 rows: u8 labels never wrap
-    counts = np.bincount(cell[(a != NODATA) & (b != NODATA)], minlength=n * c * c)
-    return counts.reshape(n, c, c)
+    n, c = len(a), n_classes + 1
+    dt = np.min_scalar_type(max(n, 1) * c * c)   # the narrowest codes: the fastest
+    # min(x, C) as x - (x >= C) * (x - C), ~10x faster than np.minimum(x, C); in
+    # unsigned labels x - C wraps below C, where it is multiplied by 0
+    cell, fb = ((x - (x >= n_classes) * (x - n_classes)).astype(dt, copy=False) for x in (a, b))
+    cell *= c
+    cell += fb
+    cell += np.arange(0, n * c * c, c * c, dtype=dt)[:, None]
+    return np.bincount(cell.ravel(), minlength=n * c * c).reshape(n, c, c)[:, :-1, :-1]
 
 
 def first_max(planes) -> np.ndarray:

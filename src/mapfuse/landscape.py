@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import LabelRaster, _freeze
+from .grids import LabelRaster, _freeze, pair_counts
 from .io import write_csv
 
 
@@ -61,12 +61,10 @@ class EdgeTable:
 
 def edge_table(raster: LabelRaster) -> EdgeTable:
     v, c = raster.values, raster.shape.n_classes
-    # each rook pair (left, right), then (upper, lower), as the 16-bit code a << 8 | b
-    counts = sum(np.bincount(((a.astype(np.uint16) << 8) | b).ravel(), minlength=65536)
-                 for a, b in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])))
-    # labels lie below C and NODATA (255) does not: the first C x C block holds
-    # the class pairs; its diagonal, pairs of equal labels, is no edge
-    pairs = counts.reshape(256, 256)[:c, :c]
+    # each rook pair (left, right), then (upper, lower); a pair with NODATA is
+    # not counted, and the diagonal, pairs of equal labels, is no edge
+    pairs = sum(pair_counts(a.reshape(1, -1), b.reshape(1, -1), c)[0]
+                for a, b in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])))
     e = pairs + pairs.T
     np.fill_diagonal(e, 0)
     present = np.bincount(v.ravel(), minlength=c)[:c]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .accuracy import monte_carlo_assess, paired_t_test, stratified_samples, write_mc_csv
-from .clustering import (entropy_features, kmeans_cluster, kmedoids_cluster,
+from .clustering import (METHODS, entropy_features, kmeans_cluster, kmedoids_cluster,
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
 from .grids import CORES, LabelRaster, common_shape, first_max, hard_classify
@@ -36,7 +36,6 @@ from .landscape import edge_table, write_iji_csv
 from .weights import estimate_weights, save_weights_csv
 
 MODES = ("unweighted", "weighted", "clustered")
-METHODS = ("kmeans", "kmedoids")
 BASELINE = "plurality-baseline"
 
 

@@ -393,10 +393,19 @@ def test_scenario_id_naming_another_output_exits_2(work, capsys, tmp_path,
     assert not out.exists()
 
 
-def test_runtime_failure_exits_1(work, capsys, tmp_path):
+def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("in the way")
     rc = main(["simulate", str(work / "scenario.json"), "-o", str(blocker)])
+    assert rc == 1
+    assert "unexpected failure" in capsys.readouterr().err
+
+    # no input path raises KeyError, so one is a program fault, not bad input
+    def lookup_bug(args):
+        return {}["missing"]
+
+    monkeypatch.setitem(mapfuse.cli._COMMANDS, "iji", lookup_bug)
+    rc = main(["iji", str(tmp_path / "map")])
     assert rc == 1
     assert "unexpected failure" in capsys.readouterr().err
 

@@ -81,7 +81,7 @@ def test_entropy_features_rows_are_flat_maps():
     rng = np.random.default_rng(1)
     maps = [random_prob(rng, 4, 3, 4) for _ in range(2)]
     f = entropy_features(maps)
-    assert f.n_maps == 2 and f.rows.shape == (2, 12)
+    assert f.rows.shape == (2, 12)
     assert f.max_entropy == 2.0
     assert (f.rows[1] == entropy_map(maps[1]).ravel()).all()
     with pytest.raises(ValueError):
@@ -351,6 +351,77 @@ def test_kmedoids_solution_quality_on_random_instances():
                 assert swap_cost(rows, trial_set) >= model.inertia - 1e-9
 
 
+def loop_kmedoids(dist, k, seed):
+    """The PAM that scored each trial medoid list in a Python loop, as an
+    oracle: (canonical assignment, medoids in canonical order, inertia)."""
+    n = len(dist)
+    rng = np.random.default_rng(seed)
+
+    def pick(cands, costs):
+        lo = costs.min()
+        tied = cands[costs <= lo]
+        return int(tied[rng.integers(len(tied))])
+
+    def pam_cost(medoids):
+        return float(dist[:, medoids].min(axis=1).sum())
+
+    medoids = [pick(np.arange(n), dist.sum(axis=1))]
+    while len(medoids) < k:
+        nearest = dist[:, medoids].min(axis=1)
+        cands = np.array([j for j in range(n) if j not in medoids])
+        costs = np.array([np.minimum(nearest, dist[:, j]).sum() for j in cands])
+        medoids.append(pick(cands, costs))
+    cost = pam_cost(medoids)
+    while True:
+        swaps, costs = [], []
+        for mi in range(len(medoids)):
+            for h in range(n):
+                if h in medoids:
+                    continue
+                trial = medoids.copy()
+                trial[mi] = h
+                swaps.append((mi, h))
+                costs.append(pam_cost(trial))
+        costs = np.array(costs)
+        if len(costs) == 0 or costs.min() >= cost:
+            break
+        mi, h = swaps[pick(np.arange(len(swaps)), costs)]
+        medoids[mi] = h
+        cost = float(costs.min())
+    medoids = np.array(sorted(medoids))
+    assign = clustering._canonical(dist[:, medoids].argmin(axis=1), k)
+    ordered = np.empty(k, dtype=np.int64)
+    ordered[assign[medoids]] = medoids
+    return assign, ordered, cost
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "duplicates"])
+def test_kmedoids_matches_the_loop_oracle(kind):
+    """The array-scored PAM makes the loop's every choice: same assignment,
+    medoids and inertia bits, also where many swaps tie on cost."""
+    rng = np.random.default_rng(["random", "ties", "duplicates"].index(kind))
+    for _ in range(40):
+        n = int(rng.integers(3, 50))
+        if kind == "random":
+            rows = rng.uniform(0, 2, size=(n, int(rng.integers(1, 30))))
+        elif kind == "ties":      # cityblock distances from {0, 0.5, 1} tie often
+            rows = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))) / 2
+        else:                     # a few distinct rows, each repeated
+            base = rng.uniform(0, 2, size=(int(rng.integers(2, 9)), 5))
+            rows = base[rng.integers(0, len(base), size=n)]
+        f = _features(rows)
+        distinct = len(np.unique(rows, axis=0))
+        if distinct < 2:
+            continue
+        for k in range(2, min(7, distinct) + 1):
+            seed = int(rng.integers(2 ** 31))
+            model = kmedoids_cluster(f, k, seed)
+            assign, medoids, inertia = loop_kmedoids(f.cityblock, k, seed)
+            assert model.assignment.tolist() == assign.tolist()
+            assert model.centers.tolist() == medoids.tolist()
+            assert repr(model.inertia) == repr(inertia)
+
+
 def test_kmedoids_separable_pairs_medoids_are_members():
     f = _features([[0.0, 0.1], [0.1, 0.0], [5.0, 5.1], [5.1, 5.0]])
     model = kmedoids_cluster(f, 2, seed=0)
@@ -427,6 +498,35 @@ def test_adjusted_rand_index_values():
     num = adjusted_rand_index(a, b)
     assert 0.0 < num < 1.0
     assert num == pytest.approx(adjusted_rand_index(b, a))
+
+
+def _ari_reference(a, b):
+    """The index with its contingency table as one bincount of the inverse-index
+    pairs, as an oracle."""
+    a, b = np.asarray(a), np.asarray(b)
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    table = np.bincount(ia * len(ub) + ib, minlength=len(ua) * len(ub)).reshape(
+        len(ua), len(ub))
+    comb = lambda x: x * (x - 1) / 2.0
+    sum_ij = comb(table).sum()
+    sum_a = comb(table.sum(axis=1)).sum()
+    sum_b = comb(table.sum(axis=0)).sum()
+    expected = sum_a * sum_b / comb(len(a))
+    max_index = 0.5 * (sum_a + sum_b)
+    if max_index == expected:
+        return 1.0
+    return float((sum_ij - expected) / (max_index - expected))
+
+
+def test_adjusted_rand_index_matches_the_bincount_table():
+    # negative and non-contiguous labels, more clusters on either side
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        a = rng.choice([-7, -1, 0, 3, 100, 2 ** 40], size=n)
+        b = rng.choice(rng.integers(-50, 50, size=int(rng.integers(1, 12))), size=n)
+        assert repr(adjusted_rand_index(a, b)) == repr(_ari_reference(a, b))
 
 
 # -------------------------------------------------------------- model I/O

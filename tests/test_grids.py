@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
@@ -156,19 +156,26 @@ def test_first_max_is_argmax_over_the_planes_with_ties(seed, c, dtype):
        st.integers(min_value=0, max_value=5),
        st.integers(min_value=0, max_value=40),
        st.integers(min_value=2, max_value=MAX_CLASSES))
+@example(1, 1, 40, 2).via("u8 codes")
+@example(2, 5, 40, 20).via("u16 codes")
+@example(3, 5, 40, MAX_CLASSES).via("u32 codes")
 def test_pair_counts_matches_add_at(seed, n, s, c):
-    """Oracle: one np.add.at per valid pair. NODATA sits on either side, and
-    row 0 (when there is one) holds no valid pair, so its table is all zeros."""
+    """Oracle: one np.add.at per valid pair. NODATA, and labels in [C, 255),
+    sit on either side and are not counted; row 0 (when there is one) holds no
+    valid pair, so its table is all zeros. The examples need u8, u16 and u32 codes."""
     rng = np.random.default_rng(seed)
     a = rng.integers(0, c, size=(n, s)).astype(np.uint8)
     b = rng.integers(0, c, size=(n, s)).astype(np.uint8)
-    a[rng.random(size=(n, s)) < 0.2] = NODATA
-    b[rng.random(size=(n, s)) < 0.2] = NODATA
+    for x in (a, b):
+        x[rng.random(size=(n, s)) < 0.2] = NODATA
+        if c < NODATA:
+            above = rng.random(size=(n, s)) < 0.1
+            x[above] = rng.integers(c, NODATA, size=int(above.sum()))
     if n:
         a[0, ::2] = NODATA
-        b[0, 1::2] = NODATA
+        b[0, 1::2] = c if c < NODATA else NODATA
     want = np.zeros((n, c, c), dtype=np.int64)
-    i, j = np.nonzero((a != NODATA) & (b != NODATA))
+    i, j = np.nonzero((a < c) & (b < c))
     np.add.at(want, (i, a[i, j].astype(np.int64), b[i, j].astype(np.int64)), 1)
     got = pair_counts(a, b, c)
     assert got.dtype == np.int64 and got.shape == (n, c, c)
