@@ -20,8 +20,8 @@ import numpy as np
 from .accuracy import accuracy_report, confusion, monte_carlo_assess
 from .clustering import METHODS, entropy_features, entropy_map, kmeans_cluster, kmedoids_cluster
 from .fusion import fuse, fused_label_map
-from .io import (load_label_raster, load_probability_raster, save_entropy_raster,
-                 save_label_raster, save_probability_raster)
+from .io import (check_output_dir, load_label_raster, load_probability_raster,
+                 save_entropy_raster, save_label_raster, save_probability_raster)
 from .landscape import edge_table
 from .pipeline import load_investigators, load_pipeline_config, run_pipeline
 from .synth import materialize_scenario
@@ -74,13 +74,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    # the group options are checked before any map is read
+    # the group options and the output path are checked before any map is read
     if (args.cluster is None) != (args.k is None):
         raise ValueError("--cluster requires -k" if args.k is None else "-k requires --cluster")
     if args.cluster is not None and args.k < 2:
         raise ValueError(f"k must be at least 2, got {args.k}")
     if args.cluster is not None and not 1 <= args.group <= args.k:
         raise ValueError(f"--group must be in [1, {args.k}]")
+    check_output_dir(args.output)
     ids, maps = load_investigators(args.input)
 
     if args.cluster is not None:
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:          # fuse and assess draw from it
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:                     # noqa: BLE001 - CLI boundary

@@ -216,6 +216,8 @@ def adjusted_rand_index(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError("partitions must label the same items")
     n = len(a)
+    if n < 2:           # two partitions of 0 or 1 item always agree
+        return 1.0
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     table = pair_counts(ia.reshape(1, -1), ib.reshape(1, -1),

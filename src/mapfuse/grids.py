@@ -137,10 +137,6 @@ class LabelRaster:
         v = v.astype(np.uint8)
         object.__setattr__(self, "values", _freeze(v))
 
-    def valid_mask(self) -> np.ndarray:
-        """Boolean mask of pixels that carry an actual class."""
-        return self.values != NODATA
-
 
 def common_shape(maps) -> GridShape:
     """The grid every raster of a non-empty panel shares; raises otherwise."""

@@ -32,6 +32,12 @@ def is_bare_file_name(name) -> bool:
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
+def check_output_dir(path) -> None:
+    """Refuse an output directory path that names an existing file."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise ValueError(f"output directory {path} names an existing file")
+
+
 def write_text_atomic(path, data: str | bytes, drop=None) -> None:
     """Replace ``path`` with ``data`` (text, or bytes written as they are) via
     a temporary file beside it, named by the OS thread id, so a crash never

@@ -1,13 +1,14 @@
 """End-to-end orchestration: load maps, fuse every requested way, assess.
 
-A run checks every input before it creates anything (_load), then plans
-its variants — a plurality-vote baseline, plain unweighted fusion,
-confidence-weighted fusion, and one variant per cluster group per method
-per k (_plan) — and writes a manifest of the outputs it intends to produce.
-The kappa fit starts on a thread pool before the clustering that plans the
-groups; then one task per distinct set of fused maps writes its outputs
-under every variant id naming that set. Everything derived from randomness
-is seeded, so re-running a config reproduces every CSV byte for byte.
+A run checks every input before it creates anything (_load). The kappa fit
+then starts on a thread pool, and underneath it the run plans its variants —
+a plurality-vote baseline, plain unweighted fusion, confidence-weighted
+fusion, and one variant per cluster group per method per k (_plan, which
+writes nothing). Only then does it make the output directory, with the
+cluster models and a manifest of the outputs it intends to produce; one task
+per distinct set of fused maps writes its outputs under every variant id
+naming that set. Everything derived from randomness is seeded, so re-running
+a config reproduces every CSV byte for byte.
 
 The baseline deserves a caveat: it is the per-pixel plurality label
 across investigator hard maps, a fusion-free composite standing in for a
@@ -29,9 +30,9 @@ from .clustering import (METHODS, entropy_features, kmeans_cluster, kmedoids_clu
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
 from .grids import CORES, LabelRaster, common_shape, first_max, hard_classify
-from .io import (is_bare_file_name, load_label_raster, load_probability_raster,
-                 read_header, read_json, save_label_raster, save_probability_raster,
-                 write_csv, write_text_atomic)
+from .io import (check_output_dir, is_bare_file_name, load_label_raster,
+                 load_probability_raster, read_header, read_json, save_label_raster,
+                 save_probability_raster, write_csv, write_text_atomic)
 from .landscape import edge_table, write_iji_csv
 from .weights import estimate_weights, save_weights_csv
 
@@ -143,9 +144,17 @@ def plurality_baseline(maps) -> LabelRaster:
     return LabelRaster(shape, first_max(votes))
 
 
+def _column_means(table):
+    """np.nanmean(table, axis=0)'s bits, but an all-NaN column (a class the
+    reference lacks, or one a variant never predicts) is NaN with no warning."""
+    with np.errstate(invalid="ignore"):
+        return np.nansum(table, axis=0) / (~np.isnan(table)).sum(axis=0)
+
+
 def _load(config):
-    """Every input check of a run, made before it creates anything. Returns
-    (reference, ids, maps, samples); samples is the run's one Monte Carlo draw."""
+    """Every input check of a run, the output path's too, made before it creates
+    anything. Returns (reference, ids, maps, samples), samples the run's one MC draw."""
+    check_output_dir(config.output_dir)
     ref_path = Path(config.reference)
     if not (ref_path.exists() and Path(str(ref_path) + ".json").exists()):
         raise ValueError(f"reference raster {ref_path} not found")
@@ -165,12 +174,10 @@ def _load(config):
     return reference, ids, maps, samples
 
 
-def _plan(config, maps, out, key_of):
-    """Fill key_of, in plan order, with variant id -> what it fuses: the
-    baseline, all maps with kappa, or sorted member indices. Each cluster
-    model is fitted and saved on the way; if one raises, key_of keeps every
-    variant planned before it."""
-    key_of[BASELINE] = BASELINE
+def _plan(config, maps):
+    """{variant id: what it fuses} in plan order (the baseline, all maps with
+    kappa, or sorted member indices) and {file name: cluster model}; writes nothing."""
+    key_of, models = {BASELINE: BASELINE}, {}
     if "unweighted" in config.fusion_modes:
         key_of["unweighted"] = tuple(range(len(maps)))
     if "weighted" in config.fusion_modes:
@@ -180,17 +187,16 @@ def _plan(config, maps, out, key_of):
         for method in config.methods:
             fit = kmeans_cluster if method == "kmeans" else kmedoids_cluster
             for k in config.k_values:
-                model = fit(feats, k, config.seed)
-                save_cluster_model(model, out / f"cluster_{method}_k{k}.json")
+                model = models[f"cluster_{method}_k{k}.json"] = fit(feats, k, config.seed)
                 for g in range(k):
                     key_of[f"{method}-k{k}g{g + 1}"] = tuple(
                         np.flatnonzero(model.assignment == g).tolist())
+    return key_of, models
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
     reference, ids, maps, samples = _load(config)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     # ---- plan and execute ---------------------------------------------
     # The kappa fit is the longest task, so it goes onto the pool first and
@@ -201,15 +207,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     with ThreadPoolExecutor(max_workers=min(8, CORES + 2)) as pool:
         weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
                           if "weighted" in config.fusion_modes else None)
-        key_of, prefix_error = {}, None
-        try:
-            _plan(config, maps, out, key_of)
-        except Exception as exc:        # re-raised once the manifest says so
-            prefix_error = exc
-        plan = list(key_of)
+        key_of, models = _plan(config, maps)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, model in models.items():
+            save_cluster_model(model, out / name)
         ids_of = {}            # key -> variant ids in plan order
-        for vid in plan:
-            ids_of.setdefault(key_of[vid], []).append(vid)
+        for vid, key in key_of.items():
+            ids_of.setdefault(key, []).append(vid)
         manifest = {
             "config": asdict(config),
             "variants": [
@@ -249,14 +253,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
                          *(out / f"{vid}_mc.csv" for vid in ids_of[key]))
             return edge_table(label), mc
 
-        # no set runs after a prefix failure; otherwise the weighted task
-        # goes first and the rest follow in plan order (a stable sort)
-        futures = {} if prefix_error else {
-            key: pool.submit(run_set, key)
-            for key in sorted(ids_of, key=lambda k: k != "weighted")}
-        # a failed set fails every id that names it, and a prefix failure
-        # every id; the manifest says so before the pool waits out the fit
-        errors = {key: prefix_error or futures[key].exception() for key in ids_of}
+        # the weighted task first, the rest in plan order (a stable sort)
+        futures = {key: pool.submit(run_set, key)
+                   for key in sorted(ids_of, key=lambda k: k != "weighted")}
+        # a failed set fails every id that names it; the manifest says so
+        # before the pool waits out the fit
+        errors = {key: futures[key].exception() for key in ids_of}
         for e in manifest["variants"]:
             exc = errors[key_of[e["id"]]]
             e["status"] = "failed" if exc else "done"
@@ -266,17 +268,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
         if failure:
             save_manifest()
             raise failure
-    results = {vid: futures[key_of[vid]].result() for vid in plan}
+    results = {vid: futures[key].result() for vid, key in key_of.items()}
 
     # ---- joins: IJI, t-tests, summary -----------------------------------
     write_iji_csv([("reference", edge_table(reference))]
-                  + [(vid, results[vid][0]) for vid in plan],
+                  + [(vid, table) for vid, (table, _) in results.items()],
                   out / "iji.csv")
 
     base_oa = results[BASELINE][1].overall
     write_csv(out / "ttests.csv", ["variant", "baseline", "t", "p", "df"],
               ([vid, BASELINE, *paired_t_test(results[vid][1].overall, base_oa)]
-               for vid in plan if vid != BASELINE))
+               for vid in results if vid != BASELINE))
 
     names = reference.shape.class_names
     summary = {vid: {"oa": float(mc.overall.mean()), "iji": table.iji}
@@ -284,8 +286,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     write_csv(out / "summary.csv",
               ["variant", "oa"] + [f"ua_{n}" for n in names]
               + [f"pa_{n}" for n in names] + ["iji"],
-              ([vid, summary[vid]["oa"], *np.nanmean(mc.users, axis=0),
-                *np.nanmean(mc.producers, axis=0), summary[vid]["iji"]]
+              ([vid, summary[vid]["oa"], *_column_means(mc.users),
+                *_column_means(mc.producers), summary[vid]["iji"]]
                for vid, (_, mc) in results.items()))
 
     if weights_future is not None:
@@ -296,5 +298,5 @@ def run_pipeline(config: PipelineConfig) -> dict:
                                "log_posterior": est.log_posterior,
                                "trace": list(est.trace)}
     save_manifest()
-    return {"output_dir": str(out), "variants": plan, "summary": summary,
+    return {"output_dir": str(out), "variants": list(results), "summary": summary,
             "manifest": str(out / "manifest.json")}

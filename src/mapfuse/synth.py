@@ -31,15 +31,9 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .grids import GridShape, LabelRaster, ProbabilityRaster, regularize
+from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster, _freeze, regularize
 from .io import (is_bare_file_name, read_json, save_label_raster, save_probability_raster,
                  write_text_atomic)
-
-__all__ = [
-    "SceneSpec", "InvestigatorSpec", "generate_scene", "generate_investigator",
-    "uniform_kernel", "style_kernel", "load_scenario", "materialize_scenario",
-    "two_style_scenario",
-]
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,7 @@ class InvestigatorSpec:
         diag = np.diag(k)
         if (k > diag[:, None] + 1e-12).any():
             raise ValueError("kernel diagonal must dominate each row")
-        k.flags.writeable = False
-        object.__setattr__(self, "confusion_kernel", k)
+        object.__setattr__(self, "confusion_kernel", _freeze(k))
 
 
 def uniform_kernel(n_classes: int) -> np.ndarray:
@@ -195,7 +188,7 @@ def generate_investigator(truth: LabelRaster, spec: InvestigatorSpec) -> Probabi
     shape = truth.shape
     if spec.confusion_kernel.shape[0] != shape.n_classes:
         raise ValueError("kernel size must match n_classes")
-    if not truth.valid_mask().all():
+    if (truth.values == NODATA).any():
         raise ValueError("truth must not contain NODATA")
     y = truth.values.ravel().astype(np.int64)
     n = y.size

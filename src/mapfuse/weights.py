@@ -68,7 +68,7 @@ from numpy.polynomial.chebyshev import chebder
 from scipy.fft import dct
 from scipy.special import gammaln, psi
 
-from .grids import CORES, common_shape, map_on_cores
+from .grids import CORES, _freeze, common_shape, map_on_cores
 from .io import write_csv
 
 KAPPA_MIN = 1e-3
@@ -125,8 +125,7 @@ class WeightEstimate:
         k = np.asarray(self.kappa, dtype=np.float64)
         if (k <= 0).any():
             raise ValueError("kappa must be positive")
-        k.flags.writeable = False
-        object.__setattr__(self, "kappa", k)
+        object.__setattr__(self, "kappa", _freeze(k))
         object.__setattr__(self, "trace", tuple(self.trace))
 
 

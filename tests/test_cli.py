@@ -194,6 +194,8 @@ def test_fewer_distinct_maps_than_k_exits_2(work, capsys, tmp_path):
         (tmp_path / "p.json").write_text(json.dumps(cfg))
         assert main(["pipeline", str(tmp_path / "p.json")]) == 2
         assert "k=4 exceeds the 3 distinct maps" in capsys.readouterr().err
+    # the clustering plans the run before its output directory is made
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("run-")]
 
 
 def test_entropy_command(work, capsys):
@@ -408,6 +410,35 @@ def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
     rc = main(["iji", str(tmp_path / "map")])
     assert rc == 1
     assert "unexpected failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["pipeline-config-dir", "simulate-scenario-dir",
+                                  "fuse-weights-dir", "iji-header-dir", "fuse-output-file"])
+def test_path_of_the_wrong_kind_exits_2(work, capsys, tmp_path, case):
+    """A directory where a file is read, or a file where the output directory
+    goes, is bad input: exit 2 with one error line naming the path."""
+    d = tmp_path / "d"
+    d.mkdir()
+    out = tmp_path / "out"
+    if case == "iji-header-dir":
+        (tmp_path / "map").write_bytes(b"")
+        (tmp_path / "map.json").mkdir()
+    if case == "fuse-output-file":
+        out.write_text("in the way")
+    argv, named = {
+        "pipeline-config-dir": (["pipeline", str(d)], d),
+        "simulate-scenario-dir": (["simulate", str(d), "-o", str(out)], d),
+        "fuse-weights-dir": (["fuse", "-i", str(work / "data"), "-o", str(out),
+                              "--weights", str(d)], d),
+        "iji-header-dir": (["iji", str(tmp_path / "map")], tmp_path / "map.json"),
+        "fuse-output-file": (["fuse", "-i", str(work / "data"), "-o", str(out)], out),
+    }[case]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2, err
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
+    assert out.is_file() if case == "fuse-output-file" else not out.exists()
 
 
 def _declared_console_script() -> importlib.metadata.EntryPoint:

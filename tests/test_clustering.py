@@ -488,6 +488,12 @@ def test_partition_property(seed, n, k):
 
 # --------------------------------------------------------------------- ARI
 
+@pytest.mark.parametrize("a, b", [([0], [0]), ([0], [1]), ([], [])])
+def test_adjusted_rand_index_of_fewer_than_two_items_is_1(a, b):
+    # no pair to disagree on; the suite's warning filter catches a 0 / 0
+    assert adjusted_rand_index(a, b) == 1.0
+
+
 def test_adjusted_rand_index_values():
     assert adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
     assert adjusted_rand_index([0, 0, 1, 1], [0, 1, 0, 1]) < 0.5

@@ -134,6 +134,29 @@ def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_output_dir_naming_a_file_exits_2_before_the_fit(panel_dir, tmp_path, capsys,
+                                                         monkeypatch):
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return estimate_weights(*args, **kwargs)
+
+    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", counting_fit)
+    blocker = tmp_path / "run"
+    blocker.write_text("in the way")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(
+        {"input_dir": str(panel_dir), "reference": str(panel_dir / "truth"),
+         "output_dir": str(blocker), "mc_iterations": 2, "per_class_samples": 1,
+         "k_values": [2]}))
+    assert main(["pipeline", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: output directory {blocker} names an existing file"], err
+    assert fits == []
+    assert blocker.read_text() == "in the way"
+
+
 @pytest.mark.parametrize("mode", ["weighted", "clustered"])
 def test_one_map_panel_fails_before_the_pool(panel_dir, tmp_path, mode):
     """Both modes compare maps, so a one-map panel fails before any set runs."""
@@ -294,6 +317,26 @@ def test_each_distinct_set_is_fused_and_scored_once(panel_dir, tmp_path,
                         == (out / f"{first}{suffix}").read_bytes()), vid + suffix
 
 
+def test_class_missing_from_the_reference_leaves_its_means_empty(panel_dir, tmp_path):
+    """With one class relabelled away in the reference, every variant's
+    producer's accuracy for it is NaN in each iteration: its summary mean
+    is an empty cell, not a "Mean of empty slice" warning."""
+    truth = load_label_raster(panel_dir / "truth")
+    gone, into = truth.shape.class_names[1], truth.shape.class_names[0]
+    values = np.where(truth.values == 1, 0, truth.values).astype(truth.values.dtype)
+    save_label_raster(LabelRaster(truth.shape, values), tmp_path / "ref")
+    out = tmp_path / "run"
+    res = run_pipeline(config_for(panel_dir, out, reference=str(tmp_path / "ref")))
+    rows = read_csv(out / "summary.csv")
+    header, body = rows[0], rows[1:]
+    assert [r[0] for r in body] == res["variants"]
+    column = dict(zip(header, zip(*body)))
+    assert set(column[f"pa_{gone}"]) == {""}
+    assert "" not in column[f"pa_{into}"] and "" not in column["oa"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {e["status"] for e in manifest["variants"]} == {"done"}
+
+
 def test_failed_set_marks_each_of_its_ids(panel_dir, tmp_path, monkeypatch):
     maps = [load_probability_raster(p)
             for _, p in discover_investigators(panel_dir)]
@@ -362,10 +405,7 @@ def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
         run_pipeline(config_for(panel_dir, out))
     assert fit_started.is_set()
     assert [t for t in threading.enumerate() if t not in before] == []
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["variants"]
-    assert all(e["status"] == "failed" and e["error"] == "kmeans broke"
-               for e in manifest["variants"])
+    assert not out.exists()        # the plan comes before the output directory
 
 
 def test_fit_error_in_a_sweep_block_fails_only_the_weighted_set(
