@@ -82,6 +82,8 @@ def _cmd_fuse(args) -> int:
     if args.cluster is not None and not 1 <= args.group <= args.k:
         raise ValueError(f"--group must be in [1, {args.k}]")
     check_output_dir(args.output)
+    table = (dict(zip(*load_weights_csv(args.weights)))    # read before any map
+             if args.weights not in (None, "auto") else None)
     ids, maps = load_investigators(args.input)
 
     if args.cluster is not None:
@@ -103,16 +105,13 @@ def _cmd_fuse(args) -> int:
         weights = est.kappa
         print("inferred weights: "
               + ", ".join(f"{i}={k:.4g}" for i, k in zip(ids, weights)))
-    elif args.weights is not None:
-        wids, kappa = load_weights_csv(args.weights)
-        table = dict(zip(wids, kappa))
+    elif table is not None:
         missing = [i for i in ids if i not in table]
         if missing:
             raise ValueError(f"weights CSV lacks entries for {missing}")
         weights = np.array([table[i] for i in ids])
 
-    out = Path(args.output)            # made once the weights are known
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.output)            # made by its first file, once the weights are known
     if est is not None:
         save_weights_csv(est, out / "weights.csv", ids=ids)
     mean = fuse(maps, weights=weights)

@@ -33,17 +33,23 @@ def is_bare_file_name(name) -> bool:
 
 
 def check_output_dir(path) -> None:
-    """Refuse an output directory path that names an existing file."""
-    if Path(path).exists() and not Path(path).is_dir():
-        raise ValueError(f"output directory {path} names an existing file")
+    """Refuse an output directory path that names an existing file or lies under one."""
+    base = Path(path)
+    p = next((q for q in (base, *base.parents) if q.exists()), base)   # nearest existing
+    if not p.is_dir() and p.exists():
+        raise ValueError(f"output directory {path} names an existing file" if p == base
+                         else f"output directory {path} lies under the existing file {p}")
 
 
 def write_text_atomic(path, data: str | bytes, drop=None) -> None:
-    """Replace ``path`` with ``data`` (text, or bytes written as they are) via
-    a temporary file beside it, named by the OS thread id, so a crash never
-    leaves part of a file; the temporary file is removed if the write fails.
-    The file at ``drop``, if given, is removed just before the rename."""
+    """Replace ``path`` with ``data`` (text, or bytes as they are) via a temporary
+    file beside it, named by the OS thread id, so a crash never leaves part of a
+    file; the temporary file goes if the write fails, the file at ``drop`` (if
+    given) just before the rename. A missing parent is made here, once checked."""
     path = Path(path)
+    if not path.parent.is_dir():          # one stat when the directory is there
+        check_output_dir(path.parent)
+        path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{threading.get_native_id()}.tmp")
     try:
         if isinstance(data, bytes):
@@ -97,7 +103,6 @@ def _write_pair(paths, shape: GridShape, payload: np.ndarray, nodata=None) -> No
     }
     data, text = payload.tobytes(), json.dumps(header, indent=None, sort_keys=True)
     for path in paths:
-        path.parent.mkdir(parents=True, exist_ok=True)
         # the old header goes just before the new payload lands: a failure before
         # that rename leaves the old pair whole, one after it leaves no header
         write_text_atomic(path, data, drop=_header_path(path))

@@ -4,11 +4,11 @@ A run checks every input before it creates anything (_load). The kappa fit
 then starts on a thread pool, and underneath it the run plans its variants —
 a plurality-vote baseline, plain unweighted fusion, confidence-weighted
 fusion, and one variant per cluster group per method per k (_plan, which
-writes nothing). Only then does it make the output directory, with the
-cluster models and a manifest of the outputs it intends to produce; one task
-per distinct set of fused maps writes its outputs under every variant id
-naming that set. Everything derived from randomness is seeded, so re-running
-a config reproduces every CSV byte for byte.
+writes nothing). Only then does it write the cluster models and a manifest of
+the outputs it intends to produce, the first of which makes the output
+directory; one task per distinct set of fused maps writes its outputs under
+every variant id naming that set. Everything derived from randomness is
+seeded, so re-running a config reproduces every CSV byte for byte.
 
 The baseline deserves a caveat: it is the per-pixel plurality label
 across investigator hard maps, a fusion-free composite standing in for a
@@ -58,14 +58,16 @@ class PipelineConfig:
         if not (all(isinstance(v, str) for v in paths) and all(type(v) is int for v in ints)):
             raise ValueError("input_dir, reference and output_dir must be strings, and "
                              "k_values, mc_iterations, per_class_samples and seed integers")
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "fusion_modes", tuple(self.fusion_modes))
+        for name in ("k_values", "methods", "fusion_modes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for k in self.k_values:
             if k < 2:
                 raise ValueError(f"k must be at least 2, got {k}")
-        if any(len(set(v)) < len(v) for v in (self.k_values, self.methods)):
-            raise ValueError("k_values and methods must not repeat an entry")
+        if any(len(set(v)) < len(v)
+               for v in (self.k_values, self.methods, self.fusion_modes)):
+            raise ValueError("k_values, methods and fusion_modes must not repeat an entry")
+        if "clustered" in self.fusion_modes and not (self.k_values and self.methods):
+            raise ValueError("clustered fusion needs at least one k value and one method")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown cluster methods {sorted(bad)}")
@@ -208,7 +210,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
                           if "weighted" in config.fusion_modes else None)
         key_of, models = _plan(config, maps)
-        out.mkdir(parents=True, exist_ok=True)
         for name, model in models.items():
             save_cluster_model(model, out / name)
         ids_of = {}            # key -> variant ids in plan order

@@ -32,8 +32,8 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster, _freeze, regularize
-from .io import (is_bare_file_name, read_json, save_label_raster, save_probability_raster,
-                 write_text_atomic)
+from .io import (check_output_dir, is_bare_file_name, read_json, save_label_raster,
+                 save_probability_raster, write_text_atomic)
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,9 @@ def materialize_scenario(path, out_dir):
     Produces truth + one probability raster per investigator plus an
     index.json naming them; returns (truth, [(id, raster), ...]).
     """
+    check_output_dir(out_dir)
     scene, investigators = load_scenario(path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth = generate_scene(scene)
     save_label_raster(truth, out / "truth")
     rasters = []

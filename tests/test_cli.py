@@ -109,8 +109,12 @@ def test_fuse_weights_from_csv(work, capsys):
 @pytest.mark.parametrize("case", ["csv-repeats-id", "csv-lacks-id",
                                   "auto-one-map"])
 def test_fuse_refused_weights_leave_no_output_directory(work, capsys, tmp_path,
-                                                        case):
-    """The output directory is made only once the weights are known."""
+                                                        monkeypatch, case):
+    """The output directory is made by its first file, once the weights are
+    known; a weights CSV is read before any map."""
+    loads, load = [], mapfuse.cli.load_investigators
+    monkeypatch.setattr("mapfuse.cli.load_investigators",
+                        lambda *a: loads.append(a) or load(*a))
     ids = json.loads((work / "data" / "index.json").read_text())["investigators"]
     data, weights = work / "data", tmp_path / "w.csv"
     if case == "csv-repeats-id":
@@ -131,6 +135,7 @@ def test_fuse_refused_weights_leave_no_output_directory(work, capsys, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert rc == 2 and len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
+    assert (loads == []) == (case == "csv-repeats-id")
 
 
 def test_fuse_cluster_group(work, capsys):
@@ -396,12 +401,6 @@ def test_scenario_id_naming_another_output_exits_2(work, capsys, tmp_path,
 
 
 def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
-    blocker = tmp_path / "file"
-    blocker.write_text("in the way")
-    rc = main(["simulate", str(work / "scenario.json"), "-o", str(blocker)])
-    assert rc == 1
-    assert "unexpected failure" in capsys.readouterr().err
-
     # no input path raises KeyError, so one is a program fault, not bad input
     def lookup_bug(args):
         return {}["missing"]
@@ -413,32 +412,57 @@ def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["pipeline-config-dir", "simulate-scenario-dir",
-                                  "fuse-weights-dir", "iji-header-dir", "fuse-output-file"])
-def test_path_of_the_wrong_kind_exits_2(work, capsys, tmp_path, case):
-    """A directory where a file is read, or a file where the output directory
-    goes, is bad input: exit 2 with one error line naming the path."""
+                                  "fuse-weights-dir", "iji-header-dir", "fuse-output-file",
+                                  "simulate-output-file", "entropy-output-under-file",
+                                  "fuse-output-under-file", "pipeline-output-under-file"])
+def test_path_of_the_wrong_kind_exits_2(work, capsys, tmp_path, monkeypatch, case):
+    """A directory where a file is read, or a file at or above where the output
+    directory goes, is bad input: exit 2 with one error line naming the path,
+    nothing created, no investigator map loaded and no weight fit started."""
+    started = []
+
+    def counted(fn):
+        return lambda *a, **kw: started.append(fn.__name__) or fn(*a, **kw)
+
+    for module in (mapfuse.cli, mapfuse.pipeline):
+        for name in ("load_investigators", "estimate_weights"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     d = tmp_path / "d"
     d.mkdir()
-    out = tmp_path / "out"
+    out, blocker = tmp_path / "out", tmp_path / "file"
+    blocker.write_text("in the way")
     if case == "iji-header-dir":
         (tmp_path / "map").write_bytes(b"")
         (tmp_path / "map.json").mkdir()
-    if case == "fuse-output-file":
-        out.write_text("in the way")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**json.loads((work / "pipeline.json").read_text()),
+                                  "output_dir": str(blocker / "sub")}))
     argv, named = {
         "pipeline-config-dir": (["pipeline", str(d)], d),
         "simulate-scenario-dir": (["simulate", str(d), "-o", str(out)], d),
         "fuse-weights-dir": (["fuse", "-i", str(work / "data"), "-o", str(out),
                               "--weights", str(d)], d),
         "iji-header-dir": (["iji", str(tmp_path / "map")], tmp_path / "map.json"),
-        "fuse-output-file": (["fuse", "-i", str(work / "data"), "-o", str(out)], out),
+        "fuse-output-file": (["fuse", "-i", str(work / "data"), "-o", str(blocker)],
+                             blocker),
+        "simulate-output-file": (["simulate", str(work / "scenario.json"), "-o",
+                                  str(blocker)], blocker),
+        "entropy-output-under-file": (["entropy", "-i", str(work / "data" / "g0inv00"),
+                                       "-o", str(blocker / "e")], blocker),
+        "fuse-output-under-file": (["fuse", "-i", str(work / "data"), "-o",
+                                    str(blocker / "sub"), "--weights", "auto"],
+                                   blocker / "sub"),
+        "pipeline-output-under-file": (["pipeline", str(config)], blocker / "sub"),
     }[case]
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     rc = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 2, err
     assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0], err
-    assert out.is_file() if case == "fuse-output-file" else not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "in the way"
+    assert started == []
 
 
 def _declared_console_script() -> importlib.metadata.EntryPoint:

@@ -3,6 +3,7 @@ the one CSV writer."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -303,3 +304,19 @@ def test_write_text_atomic_bytes_and_failure(tmp_path, monkeypatch):
         write_text_atomic(target, b"\x01")
     assert target.read_bytes() == b"\x00\xff\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
+
+def test_write_makes_its_directory_and_refuses_one_under_a_file(tmp_path):
+    """A write makes its missing parent directories; a parent at or under an
+    existing file is refused before anything is created."""
+    write_text_atomic(tmp_path / "a" / "b" / "t.txt", "x")
+    assert (tmp_path / "a" / "b" / "t.txt").read_text() == "x"
+    blocker = tmp_path / "file"
+    blocker.write_text("in the way")
+    with pytest.raises(ValueError, match=re.escape(f"output directory {blocker} names")):
+        write_text_atomic(blocker / "t.txt", "x")
+    with pytest.raises(ValueError, match=re.escape(f"{blocker / 'sub'} lies under the "
+                                                   f"existing file {blocker}")):
+        save_label_raster(make_labels([[0, 1]], n_classes=2), blocker / "sub" / "m")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "file"]
+    assert blocker.read_text() == "in the way"

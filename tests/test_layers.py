@@ -23,3 +23,14 @@ def test_modules_import_only_from_lower_layers():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level:   # from .x import ...
                 assert level[node.module] < level[name], f"{name} imports {node.module}"
+
+
+def test_only_io_makes_directories():
+    """An output directory is made by its first file, in io.write_text_atomic,
+    so no other module decides when a directory appears."""
+    calls = [name for name, path in sorted((p.stem, p) for p in
+                                           Path(mapfuse.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("mkdir", "makedirs")]
+    assert calls == ["io"], calls

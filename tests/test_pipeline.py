@@ -87,6 +87,16 @@ def test_config_validation():
         PipelineConfig("i", "r", "o", seed=-1)
     with pytest.raises(ValueError, match="must not repeat"):
         PipelineConfig("i", "r", "o", k_values=(3, 2, 3))
+    with pytest.raises(ValueError, match="must not repeat"):
+        PipelineConfig("i", "r", "o", fusion_modes=("weighted", "unweighted", "weighted"))
+    # a clustered mode that would plan no group
+    with pytest.raises(ValueError, match="at least one k value and one method"):
+        PipelineConfig("i", "r", "o", k_values=())
+    with pytest.raises(ValueError, match="at least one k value and one method"):
+        PipelineConfig("i", "r", "o", methods=[])
+    # without it, neither list is read
+    assert PipelineConfig("i", "r", "o", k_values=(), methods=(),
+                          fusion_modes=("unweighted",)).k_values == ()
 
 
 def test_config_file_round_trip(tmp_path):
