@@ -122,6 +122,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    check_output_dir(Path(args.output).parent)       # before the raster is read
     raster = load_probability_raster(args.input)
     save_entropy_raster(raster.shape, entropy_map(raster), args.output)
     print(f"wrote entropy raster to {args.output}")

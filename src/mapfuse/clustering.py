@@ -33,12 +33,11 @@ METHODS = ("kmeans", "kmedoids")
 def entropy_map(p: ProbabilityRaster) -> np.ndarray:
     """(H, W) per-pixel Shannon entropy in bits, with 0*log2(0) = 0, within
     [0, log2(C)]."""
-    v = p.values
+    v = np.moveaxis(p.values, 2, 0)               # its contiguous class planes
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = v * np.log2(v)
     terms[v == 0] = 0.0
-    # class planes in class order: below 8 classes, terms.sum(axis=2)'s bits, faster
-    h = -sum(terms[..., c] for c in range(v.shape[2]))
+    h = -sum(terms)                               # plane by plane, in class order
     # fp rounding can push a hair past the closed bounds
     return np.clip(h, 0.0, np.log2(p.shape.n_classes))
 

@@ -1,8 +1,8 @@
 """Raster data model shared by every stage of the fusion pipeline.
 
-All grids are plain numpy arrays wrapped with their class metadata. Values
-are immutable after construction (arrays are flagged non-writeable) so
-instances can be shared freely across worker threads.
+Grids are numpy arrays with their class metadata, read-only after construction so
+instances can be shared across worker threads. In memory a probability raster is an
+(H, W, C) view of its band-sequential float64 class planes: load and save do not transpose.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class GridShape:
 class ProbabilityRaster:
     """H x W stack of per-pixel class-probability vectors for one map.
 
-    ``values`` has shape (height, width, n_classes), float64. Construction
-    checks finiteness, non-negativity and unit sums (loose 1e-6 tolerance;
-    regularization tightens this to 1e-9, see :func:`regularize`).
+    ``values`` is an (H, W, C) float64 view of a read-only C-contiguous (C, H, W)
+    array of class planes, the file's band order; construction copies only
+    strided planes. It checks finiteness, non-negativity and unit sums (loose
+    1e-6 tolerance; regularization tightens this to 1e-9, see :func:`regularize`).
     There is no NODATA here: absent coverage must be masked upstream.
     """
 
@@ -91,28 +92,30 @@ class ProbabilityRaster:
         expected = (self.shape.height, self.shape.width, self.shape.n_classes)
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} does not match grid {expected}")
-        if not np.isfinite(v).all():
+        planes = np.ascontiguousarray(np.moveaxis(v, 2, 0))   # copies only strided planes
+        if not np.isfinite(planes).all():
             raise ValueError("probability raster contains NaN or Inf")
-        if (v < 0).any():
+        if (planes < 0).any():
             raise ValueError("probability raster contains negative values")
-        sums = sum(v[..., c] for c in range(v.shape[2]))   # planes: no short-axis reduce
-        if np.abs(sums - 1.0).max() > 1e-6:
+        sums = planes.sum(axis=0)                 # max |sums - 1| from two extremes
+        if max(sums.max() - 1.0, 1.0 - sums.min()) > 1e-6:
             raise ValueError("pixel probability vectors must sum to 1")
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", np.moveaxis(_freeze(planes), 0, 2))
 
 
 def regularize(values) -> np.ndarray:
-    """A float64 copy with zeros replaced by DEFAULT_EPSILON and each pixel
-    (last axis) renormalized, so vectors stay strictly inside the simplex and
-    zero-count conjugate updates stay finite. Negative values raise; NaN and
-    Inf pass through for ProbabilityRaster to reject."""
-    out = np.array(values, dtype=np.float64)     # a copy in the input's layout
-    if (out < 0).any():
+    """A float64 copy in contiguous class planes, viewed in the input's axis order
+    (so its bits do not depend on the input's layout), with zeros replaced by
+    DEFAULT_EPSILON and each pixel (last axis) renormalized, so vectors stay
+    strictly inside the simplex and zero-count conjugate updates stay finite.
+    Negative values raise; NaN and Inf pass through for ProbabilityRaster to reject."""
+    planes = np.array(np.moveaxis(values, -1, 0), dtype=np.float64, order="C")
+    if (planes < 0).any():
         raise ValueError("negative probability")
-    out[out == 0.0] = DEFAULT_EPSILON
+    planes[planes == 0.0] = DEFAULT_EPSILON
     with np.errstate(invalid="ignore"):
-        out /= out.sum(axis=-1, keepdims=True)
-    return out
+        planes /= planes.sum(axis=0)
+    return np.moveaxis(planes, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -188,5 +191,4 @@ def hard_classify(raster: ProbabilityRaster) -> LabelRaster:
     Ties break toward the lowest class index so output is deterministic
     and independent of investigator ordering.
     """
-    v = raster.values
-    return LabelRaster(raster.shape, first_max([v[..., c] for c in range(v.shape[2])]))
+    return LabelRaster(raster.shape, first_max(np.moveaxis(raster.values, 2, 0)))

@@ -10,7 +10,8 @@ little-endian order, and the header at ``path + ".json"`` describing it:
 with W, H, B positive ints. Probability rasters use dtype f32 with
 bands = n_classes; label rasters u8 and entropy rasters f32, each with
 a single band. Probabilities are stored as 32-bit floats to halve file
-size; in-memory computation is always float64.
+size; in memory a probability raster is an (H, W, C) view of its
+band-sequential float64 planes, so load and save do not transpose.
 """
 
 from __future__ import annotations
@@ -167,9 +168,7 @@ def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarr
 
 
 def save_probability_raster(raster: ProbabilityRaster, path, *copies) -> None:
-    # (H, W, C) -> band-sequential (C, H, W)
-    _write_pair((path, *copies), raster.shape,
-                np.moveaxis(raster.values, 2, 0).astype("<f4"))
+    _write_pair((path, *copies), raster.shape, np.moveaxis(raster.values, 2, 0).astype("<f4"))
 
 
 def load_probability_raster(path) -> ProbabilityRaster:

@@ -202,10 +202,8 @@ def generate_investigator(truth: LabelRaster, spec: InvestigatorSpec) -> Probabi
 
     alpha = np.ones((n, shape.n_classes))
     alpha[np.arange(n), y] += spec.softness
-    draws = rng.gamma(alpha)
-    probs = regularize(draws / draws.sum(axis=1, keepdims=True))
-    return ProbabilityRaster(shape, probs.reshape(shape.height, shape.width,
-                                                  shape.n_classes))
+    draws = rng.gamma(alpha).reshape(shape.height, shape.width, shape.n_classes)
+    return ProbabilityRaster(shape, regularize(draws / draws.sum(axis=2, keepdims=True)))
 
 
 def _checked(value, *kinds):

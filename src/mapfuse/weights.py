@@ -341,11 +341,12 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     shape = common_shape(maps)
 
     n_total = shape.n_pixels
-    idx = slice(None)
-    if subsample < n_total:
-        idx = np.random.default_rng(seed).choice(n_total, size=subsample, replace=False)
-    # only the subsampled pixels are copied out of the panel
-    stack = np.stack([m.values.reshape(n_total, shape.n_classes)[idx] for m in maps])
+    idx = (np.random.default_rng(seed).choice(n_total, size=subsample, replace=False)
+           if subsample < n_total else np.arange(n_total))
+    stack = np.empty((len(maps), len(idx), shape.n_classes))
+    for m, rows in zip(maps, stack):     # only the subsampled pixels, plane by plane
+        for c in range(shape.n_classes):
+            np.take(m.values[..., c].ravel(), idx, out=rows[:, c])
     n_maps, n_pix, _ = stack.shape
 
     logp = np.log(stack)                      # strictly positive by raster contract

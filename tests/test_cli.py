@@ -418,14 +418,14 @@ def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
 def test_path_of_the_wrong_kind_exits_2(work, capsys, tmp_path, monkeypatch, case):
     """A directory where a file is read, or a file at or above where the output
     directory goes, is bad input: exit 2 with one error line naming the path,
-    nothing created, no investigator map loaded and no weight fit started."""
+    nothing created, no probability raster loaded and no weight fit started."""
     started = []
 
     def counted(fn):
         return lambda *a, **kw: started.append(fn.__name__) or fn(*a, **kw)
 
     for module in (mapfuse.cli, mapfuse.pipeline):
-        for name in ("load_investigators", "estimate_weights"):
+        for name in ("load_investigators", "load_probability_raster", "estimate_weights"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
     d = tmp_path / "d"
     d.mkdir()

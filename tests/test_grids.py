@@ -8,9 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mapfuse.clustering import entropy_map
+from mapfuse.fusion import fuse
 from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
                            ProbabilityRaster, first_max, hard_classify,
-                           map_on_cores, pair_counts)
+                           map_on_cores, pair_counts, regularize)
+from mapfuse.io import load_probability_raster, save_probability_raster
+from mapfuse.synth import InvestigatorSpec, generate_investigator, uniform_kernel
 
 from conftest import make_prob
 
@@ -94,6 +98,80 @@ def test_rasters_are_immutable():
     r = make_prob(np.full((2, 2, 4), 0.25))
     with pytest.raises(ValueError):
         r.values[0, 0, 0] = 1.0
+
+
+def _planes_of(r: ProbabilityRaster) -> np.ndarray:
+    """The (C, H, W) class planes under a raster's (H, W, C) values, checked to
+    be one read-only C-contiguous array."""
+    planes = np.moveaxis(r.values, 2, 0)
+    assert r.values.shape == (r.shape.height, r.shape.width, r.shape.n_classes)
+    assert planes.flags.c_contiguous and not planes.flags.writeable
+    assert not r.values.flags.writeable
+    return planes
+
+
+def test_rasters_hold_contiguous_read_only_class_planes(tmp_path, small_scene):
+    """Loaded, fused and generated rasters keep the file's band-sequential
+    planes under their (H, W, C) values; only strided planes are copied."""
+    spec = InvestigatorSpec(noise_rate=0.2, confusion_kernel=uniform_kernel(4),
+                            softness=5.0, seed=3)
+    made = generate_investigator(small_scene, spec)
+    save_probability_raster(made, tmp_path / "p")
+    loaded = load_probability_raster(tmp_path / "p")
+    for r in (made, loaded, fuse([made, loaded]), fuse([made, loaded], [0.5, 2.0])):
+        _planes_of(r)
+    planes = np.ascontiguousarray(np.moveaxis(made.values, 2, 0))
+    kept = ProbabilityRaster(made.shape, np.moveaxis(planes, 0, 2))
+    assert np.shares_memory(_planes_of(kept), planes)           # no copy
+    copied = ProbabilityRaster(made.shape, np.ascontiguousarray(made.values))
+    assert np.array_equal(_planes_of(copied), planes)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("c", [4, 9])
+def test_kernels_give_the_same_bits_for_either_input_layout(tmp_path, c):
+    """Values built pixel-major (C order) and band-major give bit-identical
+    regularized values, labels, entropy, fusion and saved payloads, equal to
+    the per-pixel operations in class order on the C-order array. From 8
+    classes numpy sums a contiguous class axis pairwise, not in class order,
+    so C = 9 tells a layout-dependent sum apart."""
+    rng = np.random.default_rng(c)
+    raw = rng.random((2, 13, 11, c)) ** 4 * 10.0 ** rng.integers(-9, 1, (2, 13, 11, c))
+    raw[0, 0, 0, 1] = 0.0                       # one zero for regularize to replace
+    band_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(raw, 3, 1)), 1, 3)
+    reg_c, reg_b = map(regularize, (raw, band_major))
+    assert _same_bits(reg_c, reg_b)
+    # the reference: each pixel renormalized by its sum in class order
+    ref = np.where(raw == 0.0, 1e-10, raw)
+    ref = ref / sum(ref[..., k] for k in range(c))[..., None]
+    assert _same_bits(reg_c, ref)
+
+    shape = GridShape(11, 13, c)
+    pixel_major = [ProbabilityRaster(shape, np.ascontiguousarray(v)) for v in ref]
+    planar = [ProbabilityRaster(shape, v) for v in reg_b]
+    for a, b, v in zip(pixel_major, planar, ref):
+        assert _same_bits(hard_classify(a).values, hard_classify(b).values)
+        assert np.array_equal(hard_classify(a).values, np.argmax(v, axis=2))
+        h = -sum((v * np.log2(v))[..., k] for k in range(c))
+        assert _same_bits(entropy_map(a), entropy_map(b))
+        assert _same_bits(entropy_map(b), np.clip(h, 0.0, np.log2(c)))
+    for w in (None, [0.25, 3.0]):
+        wj = np.ones(2) if w is None else np.asarray(w)
+        acc = ref[0] * wj[0]
+        acc += ref[1] * wj[1]
+        acc += 1.0
+        acc /= c + wj.sum()
+        assert _same_bits(fuse(pixel_major, w).values, fuse(planar, w).values)
+        assert _same_bits(fuse(planar, w).values, acc)
+    save_probability_raster(pixel_major[0], tmp_path / "a")
+    save_probability_raster(planar[0], tmp_path / "b")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    assert (tmp_path / "a").read_bytes() == np.moveaxis(ref[0], 2, 0).astype("<f4").tobytes()
 
 
 def test_hard_classify_examples():

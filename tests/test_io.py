@@ -4,6 +4,7 @@ the one CSV writer."""
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,23 @@ def test_failed_header_overwrite_leaves_no_header(tmp_path, monkeypatch):
     with pytest.raises(FileNotFoundError):
         load_label_raster(tmp_path / "m")
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+
+def test_probability_load_allocates_one_float64_raster(tmp_path):
+    """A load holds the f32 payload and fills one float64 array of class
+    planes; a transposed copy copied again into pixel order would need a second
+    float64 raster, past this bound of the payload plus 1.5 rasters."""
+    h, w, c = 256, 256, 4
+    save_probability_raster(random_prob(np.random.default_rng(4), h, w, c), tmp_path / "p")
+    load_probability_raster(tmp_path / "p")      # imports and caches before the trace
+    tracemalloc.start()
+    try:
+        r = load_probability_raster(tmp_path / "p")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.values.shape == (h, w, c)
+    assert peak < h * w * c * 4 + 1.5 * (h * w * c * 8)
 
 
 def test_loader_regularizes_zeros(tmp_path):
