@@ -14,6 +14,11 @@ compared map is sampled at the same pixels). Monte Carlo iteration i is
 seeded seed+i, so iterations are independently reproducible and two
 assessments with the same reference, sizes, and seed share identical
 sample pixels — paired by construction.
+
+The paired t-test (``ttests.csv``, the paper's construction) pairs those
+iterations. Each resamples the same two fixed maps, so p tests whether their
+census accuracy difference is exactly zero, and p shrinks as the iteration
+count grows, whatever the size of that difference.
 """
 
 from __future__ import annotations
@@ -119,8 +124,9 @@ def monte_carlo_assess(pred: LabelRaster, ref: LabelRaster, n_iterations: int,
 def paired_t_test(a, b) -> tuple[float, float, int]:
     """Two-sided paired t on the differences a - b; returns (t, p, df).
 
-    Zero-variance differences (identical maps) report t=0, p=1 rather
-    than failing, so sweeps over near-duplicate variants never abort.
+    Zero-variance differences do not fail: all zero (identical maps) report
+    t=0, p=1, and a nonzero constant (maps scored on the whole reference every
+    time) t=+-inf, p=0, as scipy's ttest_rel.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -133,7 +139,7 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     sd = d.std(ddof=1)
     df = n - 1
     if sd == 0.0:
-        return 0.0, 1.0, df
+        return (math.copysign(math.inf, d[0]), 0.0, df) if d.any() else (0.0, 1.0, df)
     t = float(d.mean() / (sd / math.sqrt(n)))
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return t, p, df

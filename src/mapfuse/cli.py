@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", choices=METHODS, default=None,
                    help="cluster maps by entropy and fuse one group only")
     p.add_argument("-k", type=int, default=None, help="cluster count")
-    p.add_argument("--group", type=int, default=1, help="1-based group index")
+    p.add_argument("--group", type=int, help="1-based group index (default 1)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("entropy", help="pixel-wise entropy of a probability raster")
@@ -77,9 +77,12 @@ def _cmd_fuse(args) -> int:
     # the group options and the output path are checked before any map is read
     if (args.cluster is None) != (args.k is None):
         raise ValueError("--cluster requires -k" if args.k is None else "-k requires --cluster")
+    if args.cluster is None and args.group is not None:
+        raise ValueError("--group requires --cluster")
+    group = 1 if args.group is None else args.group
     if args.cluster is not None and args.k < 2:
         raise ValueError(f"k must be at least 2, got {args.k}")
-    if args.cluster is not None and not 1 <= args.group <= args.k:
+    if args.cluster is not None and not 1 <= group <= args.k:
         raise ValueError(f"--group must be in [1, {args.k}]")
     check_output_dir(args.output)
     table = (dict(zip(*load_weights_csv(args.weights)))    # read before any map
@@ -90,10 +93,10 @@ def _cmd_fuse(args) -> int:
         feats = entropy_features(maps)
         fit = kmeans_cluster if args.cluster == "kmeans" else kmedoids_cluster
         model = fit(feats, args.k, args.seed)
-        keep = np.flatnonzero(model.assignment == args.group - 1)
+        keep = np.flatnonzero(model.assignment == group - 1)
         ids = [ids[i] for i in keep]
         maps = [maps[i] for i in keep]
-        print(f"cluster {args.cluster} k={args.k} group {args.group}: "
+        print(f"cluster {args.cluster} k={args.k} group {group}: "
               f"{len(maps)} maps ({', '.join(ids)})")
 
     weights = est = None

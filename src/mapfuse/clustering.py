@@ -33,10 +33,9 @@ METHODS = ("kmeans", "kmedoids")
 def entropy_map(p: ProbabilityRaster) -> np.ndarray:
     """(H, W) per-pixel Shannon entropy in bits, with 0*log2(0) = 0, within
     [0, log2(C)]."""
-    v = np.moveaxis(p.values, 2, 0)               # its contiguous class planes
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = v * np.log2(v)
-    terms[v == 0] = 0.0
+        terms = p.values * np.log2(p.values)
+    terms[p.values == 0] = 0.0
     h = -sum(terms)                               # plane by plane, in class order
     # fp rounding can push a hair past the closed bounds
     return np.clip(h, 0.0, np.log2(p.shape.n_classes))

@@ -1,8 +1,8 @@
 """Raster data model shared by every stage of the fusion pipeline.
 
 Grids are numpy arrays with their class metadata, read-only after construction so
-instances can be shared across worker threads. In memory a probability raster is an
-(H, W, C) view of its band-sequential float64 class planes: load and save do not transpose.
+instances can be shared across worker threads. A probability raster is its file's
+band-sequential class planes, held as float64: load and save do not transpose.
 """
 
 from __future__ import annotations
@@ -75,47 +75,43 @@ class GridShape:
 
 @dataclass(frozen=True)
 class ProbabilityRaster:
-    """H x W stack of per-pixel class-probability vectors for one map.
-
-    ``values`` is an (H, W, C) float64 view of a read-only C-contiguous (C, H, W)
-    array of class planes, the file's band order; construction copies only
-    strided planes. It checks finiteness, non-negativity and unit sums (loose
-    1e-6 tolerance; regularization tightens this to 1e-9, see :func:`regularize`).
-    There is no NODATA here: absent coverage must be masked upstream.
-    """
+    """One map's per-pixel class probabilities. ``values`` is its read-only
+    C-contiguous (C, H, W) float64 class planes, in the file's band order; only
+    strided input is copied. Construction checks finiteness, non-negativity and
+    unit sums (loose 1e-6 tolerance; :func:`regularize` tightens this to 1e-9).
+    There is no NODATA here: absent coverage must be masked upstream."""
 
     shape: GridShape
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        expected = (self.shape.height, self.shape.width, self.shape.n_classes)
+        v = np.ascontiguousarray(self.values, dtype=np.float64)   # copies only strided input
+        expected = (self.shape.n_classes, self.shape.height, self.shape.width)
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} does not match grid {expected}")
-        planes = np.ascontiguousarray(np.moveaxis(v, 2, 0))   # copies only strided planes
-        if not np.isfinite(planes).all():
+        if not np.isfinite(v).all():
             raise ValueError("probability raster contains NaN or Inf")
-        if (planes < 0).any():
+        if (v < 0).any():
             raise ValueError("probability raster contains negative values")
-        sums = planes.sum(axis=0)                 # max |sums - 1| from two extremes
+        sums = v.sum(axis=0)                      # max |sums - 1| from two extremes
         if max(sums.max() - 1.0, 1.0 - sums.min()) > 1e-6:
             raise ValueError("pixel probability vectors must sum to 1")
-        object.__setattr__(self, "values", np.moveaxis(_freeze(planes), 0, 2))
+        object.__setattr__(self, "values", _freeze(v.view()))   # the caller's stays writeable
 
 
-def regularize(values) -> np.ndarray:
-    """A float64 copy in contiguous class planes, viewed in the input's axis order
-    (so its bits do not depend on the input's layout), with zeros replaced by
-    DEFAULT_EPSILON and each pixel (last axis) renormalized, so vectors stay
-    strictly inside the simplex and zero-count conjugate updates stay finite.
-    Negative values raise; NaN and Inf pass through for ProbabilityRaster to reject."""
-    planes = np.array(np.moveaxis(values, -1, 0), dtype=np.float64, order="C")
+def regularize(planes) -> np.ndarray:
+    """A float64 copy of class planes (classes first) with zeros replaced by
+    DEFAULT_EPSILON and each pixel renormalized by its sum in class order, so its
+    bits do not depend on the array's shape or layout, vectors stay strictly inside
+    the simplex and zero-count conjugate updates stay finite. Negative values
+    raise; NaN and Inf pass through for ProbabilityRaster to reject."""
+    planes = np.array(planes, dtype=np.float64, order="C")
     if (planes < 0).any():
         raise ValueError("negative probability")
     planes[planes == 0.0] = DEFAULT_EPSILON
     with np.errstate(invalid="ignore"):
-        planes /= planes.sum(axis=0)
-    return np.moveaxis(planes, 0, -1)
+        planes /= sum(planes)
+    return planes
 
 
 @dataclass(frozen=True)
@@ -186,9 +182,6 @@ def first_max(planes) -> np.ndarray:
 
 def hard_classify(raster: ProbabilityRaster) -> LabelRaster:
     """Per-pixel argmax over class probabilities, by ``first_max`` of the class
-    planes (faster than a reduction over the short last axis).
-
-    Ties break toward the lowest class index so output is deterministic
-    and independent of investigator ordering.
-    """
-    return LabelRaster(raster.shape, first_max(np.moveaxis(raster.values, 2, 0)))
+    planes (faster than a reduction over the short class axis). Ties break toward
+    the lowest class index, so output is independent of investigator ordering."""
+    return LabelRaster(raster.shape, first_max(raster.values))

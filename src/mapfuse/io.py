@@ -7,11 +7,10 @@ little-endian order, and the header at ``path + ".json"`` describing it:
     {"width": W, "height": H, "bands": B, "dtype": "f32"|"u8",
      "class_names": [str, ...], "nodata": 255|null, "byte_order": "little"}
 
-with W, H, B positive ints. Probability rasters use dtype f32 with
-bands = n_classes; label rasters u8 and entropy rasters f32, each with
-a single band. Probabilities are stored as 32-bit floats to halve file
-size; in memory a probability raster is an (H, W, C) view of its
-band-sequential float64 planes, so load and save do not transpose.
+with W, H, B positive ints. Probability rasters use dtype f32 (half the
+size of float64) with bands = n_classes, and in memory hold the same class
+planes as float64, so load and save do not transpose. Label rasters are u8
+and entropy rasters f32, each with a single band.
 """
 
 from __future__ import annotations
@@ -168,21 +167,18 @@ def _read_pair(path, dtype: str, bands: int | None) -> tuple[GridShape, np.ndarr
 
 
 def save_probability_raster(raster: ProbabilityRaster, path, *copies) -> None:
-    _write_pair((path, *copies), raster.shape, np.moveaxis(raster.values, 2, 0).astype("<f4"))
+    _write_pair((path, *copies), raster.shape, raster.values.astype("<f4"))
 
 
 def load_probability_raster(path) -> ProbabilityRaster:
-    """Load and validate a probability stack, regularizing on the way in.
-
-    Zero components are replaced by a tiny epsilon and every pixel vector
-    is renormalized to sum to one (``grids.regularize``), so downstream
-    Dirichlet math never sees a zero probability. Negative samples fail
-    there, NaN and Inf in ProbabilityRaster's check; either error names
-    the path.
-    """
+    """Load and validate a probability raster, regularized on the way in by
+    ``grids.regularize`` (zeros become a tiny epsilon and every pixel vector is
+    renormalized), so Dirichlet math never sees a zero probability. Negative
+    samples fail there, NaN and Inf in ProbabilityRaster's check; either error
+    names the path."""
     shape, data = _read_pair(path, "f32", None)
     try:
-        return ProbabilityRaster(shape, regularize(np.moveaxis(data, 0, 2)))
+        return ProbabilityRaster(shape, regularize(data))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -202,8 +202,8 @@ def generate_investigator(truth: LabelRaster, spec: InvestigatorSpec) -> Probabi
 
     alpha = np.ones((n, shape.n_classes))
     alpha[np.arange(n), y] += spec.softness
-    draws = rng.gamma(alpha).reshape(shape.height, shape.width, shape.n_classes)
-    return ProbabilityRaster(shape, regularize(draws / draws.sum(axis=2, keepdims=True)))
+    planes = rng.gamma(alpha).T.reshape(shape.n_classes, shape.height, shape.width)
+    return ProbabilityRaster(shape, regularize(planes / sum(planes)))
 
 
 def _checked(value, *kinds):

@@ -346,7 +346,7 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     stack = np.empty((len(maps), len(idx), shape.n_classes))
     for m, rows in zip(maps, stack):     # only the subsampled pixels, plane by plane
         for c in range(shape.n_classes):
-            np.take(m.values[..., c].ravel(), idx, out=rows[:, c])
+            np.take(m.values[c].ravel(), idx, out=rows[:, c])
     n_maps, n_pix, _ = stack.shape
 
     logp = np.log(stack)                      # strictly positive by raster contract

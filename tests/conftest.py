@@ -8,11 +8,16 @@ from mapfuse.synth import (InvestigatorSpec, SceneSpec, generate_investigator,
                            generate_scene, uniform_kernel)
 
 
-def make_prob(values) -> ProbabilityRaster:
-    """Wrap an (H, W, C) array, inferring the shape."""
-    v = np.asarray(values, dtype=np.float64)
-    h, w, c = v.shape
+def make_prob(planes) -> ProbabilityRaster:
+    """Wrap (C, H, W) class planes, inferring the shape."""
+    v = np.asarray(planes, dtype=np.float64)
+    c, h, w = v.shape
     return ProbabilityRaster(GridShape(w, h, c), v)
+
+
+def pixel(vector) -> ProbabilityRaster:
+    """A 1x1 raster holding one probability vector."""
+    return make_prob(np.reshape(vector, (-1, 1, 1)))
 
 
 def make_labels(values, n_classes=None) -> LabelRaster:
@@ -23,7 +28,7 @@ def make_labels(values, n_classes=None) -> LabelRaster:
 
 def random_prob(rng, height, width, n_classes) -> ProbabilityRaster:
     g = rng.gamma(1.0, size=(height, width, n_classes)) + 1e-12
-    return make_prob(g / g.sum(axis=2, keepdims=True))
+    return make_prob((g / g.sum(axis=2, keepdims=True)).transpose(2, 0, 1))
 
 
 @pytest.fixture(scope="session")

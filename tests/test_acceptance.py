@@ -57,7 +57,7 @@ def grid_posterior_mean(vectors, weights, prior, step=1 / 200):
 
 def one_pixel(vec):
     return ProbabilityRaster(GridShape(1, 1, len(vec)),
-                             np.asarray(vec, dtype=np.float64)[None, None, :])
+                             np.asarray(vec, dtype=np.float64)[:, None, None])
 
 
 def test_criterion_1_conjugate_mean_matches_quadrature():
@@ -73,7 +73,7 @@ def test_criterion_1_conjugate_mean_matches_quadrature():
         post = fuse([one_pixel(v) for v in vectors], weights=weights)
         oracle = grid_posterior_mean(
             vectors, np.ones(n_inv) if weights is None else weights, 1.0)
-        worst = max(worst, np.abs(post.values[0, 0] - oracle).max())
+        worst = max(worst, np.abs(post.values[:, 0, 0] - oracle).max())
     elapsed = time.perf_counter() - t0
     verdict(1, worst < 1e-2 and elapsed < 30.0,
             f"100 cases, max |closed-form - quadrature| = {worst:.2e} "
@@ -87,7 +87,7 @@ def test_criterion_2_entropy_anchors_and_bound():
     g = rng.gamma(0.4, size=(1000, 1000, 4))
     g = np.maximum(g, 1e-300)
     big = ProbabilityRaster(GridShape(1000, 1000, 4),
-                            g / g.sum(axis=2, keepdims=True))
+                            (g / g.sum(axis=2, keepdims=True)).transpose(2, 0, 1))
     h_max = float(entropy_map(big).max())
     ok = uniform == 2.0 and onehot == 0.0 and h_max <= 2.0 + 1e-12
     verdict(2, ok,

@@ -265,6 +265,41 @@ def test_paired_t_antisymmetry_and_zero_variance():
         paired_t_test([1.0], [2.0])
 
 
+def test_paired_t_on_draws_that_cover_the_whole_reference():
+    """25 pixels per class drawn from 25: every iteration scores the whole
+    reference, so a map 3 pixels wrong differs from it by the same 0.03 each
+    time. That is a difference, not none: t = +-inf and p = 0, as scipy."""
+    ref_v = np.repeat(np.arange(4), 25).reshape(10, 10)
+    pred_v = ref_v.ravel().copy()
+    pred_v[[3, 40, 77]] = (pred_v[[3, 40, 77]] + 1) % 4
+    ref, pred = make_labels(ref_v, 4), make_labels(pred_v.reshape(10, 10), 4)
+    assert accuracy_report(confusion(pred, ref)).overall == 0.97
+    oa_ref, oa_pred = (monte_carlo_assess(m, ref, 20, 25, seed=0).overall
+                       for m in (ref, pred))
+    assert paired_t_test(oa_ref, oa_pred) == (math.inf, 0.0, 19)
+    assert paired_t_test(oa_pred, oa_ref) == (-math.inf, 0.0, 19)
+    assert paired_t_test(oa_pred, oa_pred) == (0.0, 1.0, 19)
+
+
+def test_paired_t_p_falls_with_the_iteration_count():
+    """Iterations resample two fixed maps, so p tests whether their census OA
+    difference is exactly zero: on maps 0.9 points apart it falls strictly as
+    the iteration count goes 5 -> 20 -> 100, though the maps stay the same."""
+    ref_v = np.repeat(np.arange(4), 900).reshape(60, 60)
+    order = np.random.default_rng(0).permutation(ref_v.size)
+    ref = make_labels(ref_v, n_classes=4)
+    maps = []
+    for wrong in (order[:90], order[90:212]):        # 90 and 122 pixels, apart
+        v = ref_v.ravel().copy()
+        v[wrong] = (v[wrong] + 1) % 4
+        maps.append(make_labels(v.reshape(60, 60), n_classes=4))
+    census = [float(accuracy_report(confusion(m, ref)).overall) for m in maps]
+    assert 0 < census[0] - census[1] < 0.01
+    p = [paired_t_test(*(monte_carlo_assess(m, ref, n, 300, seed=1).overall
+                         for m in maps))[1] for n in (5, 20, 100)]
+    assert p[0] > p[1] > p[2], p
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy on near-tie data
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=20),
@@ -277,8 +312,9 @@ def test_paired_t_matches_scipy(diffs, seed):
     t, p, df = paired_t_test(a, b)
     ref = scipy.stats.ttest_rel(a, b)
     # branch on the realized differences: a tiny nominal diff can be
-    # absorbed entirely when added to b, leaving a - b identically zero
-    if np.std(a - b, ddof=1) == 0.0:
+    # absorbed entirely when added to b, leaving a - b identically zero,
+    # where scipy gives NaN
+    if not (a - b).any():
         assert (t, p) == (0.0, 1.0)
     else:
         assert t == pytest.approx(ref.statistic, rel=1e-9, abs=1e-9)

@@ -161,7 +161,8 @@ def test_fuse_cluster_group(work, capsys):
     (["--cluster", "kmeans", "-k", "1"], "k must be at least 2, got 1"),
     (["--cluster", "kmeans"], "--cluster requires -k"),
     (["-k", "2"], "-k requires --cluster"),
-], ids=["group-above-k", "group-0", "k-1", "no-k", "no-cluster"])
+    (["--group", "7"], "--group requires --cluster"),
+], ids=["group-above-k", "group-0", "k-1", "no-k", "no-cluster", "group-no-cluster"])
 def test_fuse_checks_group_options_before_loading(work, capsys, monkeypatch, tmp_path,
                                                   flags, reason):
     loads = []

@@ -25,9 +25,9 @@ from conftest import make_prob, random_prob
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_exact_values():
-    p = make_prob([[[0.25, 0.25, 0.25, 0.25],
-                    [1.0, 0.0, 0.0, 0.0],
-                    [0.5, 0.5, 0.0, 0.0]]])
+    p = make_prob(np.transpose([[[0.25, 0.25, 0.25, 0.25],
+                                 [1.0, 0.0, 0.0, 0.0],
+                                 [0.5, 0.5, 0.0, 0.0]]], (2, 0, 1)))
     h = entropy_map(p)[0]
     assert h[0] == 2.0
     assert h[1] == 0.0
@@ -35,11 +35,12 @@ def test_entropy_exact_values():
 
 
 def _entropy_map_reference(p):
-    """The np.where form, reduced by numpy over the class axis."""
-    v = p.values
+    """The np.where form, reduced by numpy over the class axis of pixel vectors."""
+    v = np.moveaxis(p.values, 0, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(v > 0, v * np.log2(v), 0.0)
-    return np.clip(-terms.sum(axis=2), 0.0, np.log2(p.shape.n_classes))
+    return np.clip(-np.ascontiguousarray(terms).sum(axis=2), 0.0,
+                   np.log2(p.shape.n_classes))
 
 
 def _with_exact_zeros(rng, c, size=40):
@@ -48,7 +49,7 @@ def _with_exact_zeros(rng, c, size=40):
     g[0, 0] = 0.0
     g[0, 0, c - 1] = 1.0            # a one-hot pixel: entropy exactly 0
     g[g.sum(axis=2) == 0, 0] = 1.0
-    return make_prob(g / g.sum(axis=2, keepdims=True))
+    return make_prob((g / g.sum(axis=2, keepdims=True)).transpose(2, 0, 1))
 
 
 @pytest.mark.parametrize("c", [2, 4, 7])
@@ -71,7 +72,7 @@ def test_entropy_bounds_and_uniform_maximum():
         p = random_prob(rng, 20, 20, c)
         h = entropy_map(p)
         assert (h >= 0).all() and (h <= np.log2(c)).all()
-        uniform = make_prob(np.full((1, 1, c), 1.0 / c))
+        uniform = make_prob(np.full((c, 1, 1), 1.0 / c))
         assert entropy_map(uniform)[0, 0] == pytest.approx(np.log2(c), abs=1e-12)
         # maximum is attained only at the uniform vector
         assert (h > np.log2(c) - 1e-12).sum() == 0

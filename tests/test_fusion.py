@@ -7,7 +7,7 @@ from mapfuse.fusion import fuse, fused_label_map
 from mapfuse.grids import (DEFAULT_EPSILON, GridShape, ProbabilityRaster, hard_classify,
                            regularize)
 
-from conftest import make_prob, random_prob
+from conftest import make_prob, pixel, random_prob
 
 
 def simplex_grid_mean(alpha_post, step=1.0 / 200):
@@ -29,15 +29,15 @@ def simplex_grid_mean(alpha_post, step=1.0 / 200):
 
 def test_closed_form_matches_quadrature_on_pinned_case():
     # three one-hot voters: two for class 0, one for class 1
-    maps = [make_prob([[v]]) for v in
+    maps = [pixel(v) for v in
             ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
     post = fuse(maps)
     expected = np.array([3.0, 2.0, 1.0]) / 6.0
-    assert np.abs(post.values[0, 0] - expected).max() < 1e-15
-    alpha = 6.0 * post.values[0, 0]                   # (C + W) * mean
+    assert np.abs(post.values[:, 0, 0] - expected).max() < 1e-15
+    alpha = 6.0 * post.values[:, 0, 0]                   # (C + W) * mean
     assert np.abs(alpha - (3.0, 2.0, 1.0)).max() < 1e-15
     grid = simplex_grid_mean(alpha)
-    assert np.abs(post.values[0, 0] - grid).max() < 1e-2
+    assert np.abs(post.values[:, 0, 0] - grid).max() < 1e-2
 
 
 def test_closed_form_matches_quadrature_random_cases():
@@ -47,8 +47,8 @@ def test_closed_form_matches_quadrature_random_cases():
         w = rng.uniform(0.2, 3.0, size=n_maps)
         maps = [random_prob(rng, 1, 1, 3) for _ in range(n_maps)]
         post = fuse(maps, weights=w)
-        grid = simplex_grid_mean((3 + w.sum()) * post.values[0, 0])
-        assert np.abs(post.values[0, 0] - grid).max() < 1e-2
+        grid = simplex_grid_mean((3 + w.sum()) * post.values[:, 0, 0])
+        assert np.abs(post.values[:, 0, 0] - grid).max() < 1e-2
 
 
 def test_default_weights_are_ones():
@@ -74,17 +74,17 @@ def test_class_relabeling_equivariance():
     maps = [random_prob(rng, 2, 3, 4) for _ in range(3)]
     perm = np.array([2, 0, 3, 1])
     a = fuse(maps)
-    permuted = [ProbabilityRaster(m.shape, m.values[:, :, perm]) for m in maps]
+    permuted = [ProbabilityRaster(m.shape, m.values[perm]) for m in maps]
     b = fuse(permuted)
-    assert (a.values[:, :, perm] == b.values).all()
+    assert (a.values[perm] == b.values).all()
 
 
 def test_one_hot_vote_increases_its_class():
     rng = np.random.default_rng(6)
     maps = [random_prob(rng, 1, 1, 4) for _ in range(3)]
-    before = fuse(maps).values[0, 0]
-    onehot = regularize(np.array([[[0.0, 0.0, 1.0, 0.0]]]))
-    after = fuse(maps + [make_prob(onehot)]).values[0, 0]
+    before = fuse(maps).values[:, 0, 0]
+    onehot = regularize(np.array([0.0, 0.0, 1.0, 0.0]))
+    after = fuse(maps + [pixel(onehot)]).values[:, 0, 0]
     assert after[2] > before[2]
 
 
@@ -100,12 +100,12 @@ def test_agreement_with_counting():
     votes = [0, 0, 2, 1, 0]
     maps = []
     for c in votes:
-        v = np.zeros((1, 1, 3))
-        v[0, 0, c] = 1.0
+        v = np.zeros((3, 1, 1))
+        v[c, 0, 0] = 1.0
         maps.append(make_prob(regularize(v)))
     post = fuse(maps)
     counts = np.array([3.0, 1.0, 1.0])
-    alpha = 8.0 * post.values[0, 0]                   # (C + W) * mean
+    alpha = 8.0 * post.values[:, 0, 0]                   # (C + W) * mean
     assert (np.abs((alpha - 1.0) - counts).max()
             < len(votes) * 3 * DEFAULT_EPSILON)
 
@@ -130,7 +130,7 @@ def test_fuse_has_the_bits_of_the_sum_of_products(weights):
 def test_fused_label_map_examples():
     mean = np.array([[[0.5, 1 / 6, 1 / 6, 1 / 6],
                       [0.25, 0.25, 0.25, 0.25],
-                      [0.1, 0.2, 0.3, 0.4]]])
+                      [0.1, 0.2, 0.3, 0.4]]]).transpose(2, 0, 1)
     post = ProbabilityRaster(GridShape(3, 1, 4), mean)
     assert list(fused_label_map(post).values[0]) == [0, 0, 3]
 
@@ -153,15 +153,15 @@ def test_fuse_validation_errors():
 def test_regularize_preserves_argmax_and_interior():
     rng = np.random.default_rng(10)
     for _ in range(200):
-        v = rng.gamma(0.3, size=(1, 1, 5))
+        v = rng.gamma(0.3, size=(5, 1, 1))
         v[rng.random(size=v.shape) < 0.3] = 0.0
         if v.sum() == 0:
             continue
-        v /= v.sum(axis=-1, keepdims=True)
+        v /= v.sum(axis=0)
         out = regularize(v)
         assert (out > 0).all()
         assert abs(out.sum() - 1.0) < 1e-9
-        flat, oflat = v[0, 0], out[0, 0]
+        flat, oflat = v[:, 0, 0], out[:, 0, 0]
         if (flat == flat.max()).sum() == 1:
             assert oflat.argmax() == flat.argmax()
 

@@ -16,7 +16,7 @@ from mapfuse.grids import (MAX_CLASSES, NODATA, GridShape, LabelRaster,
 from mapfuse.io import load_probability_raster, save_probability_raster
 from mapfuse.synth import InvestigatorSpec, generate_investigator, uniform_kernel
 
-from conftest import make_prob
+from conftest import make_prob, pixel
 
 
 def test_grid_shape_validation():
@@ -39,29 +39,29 @@ def test_grid_shape_names_default_and_mismatch():
 
 
 def test_probability_raster_rejects_bad_values():
-    good = np.full((2, 2, 3), 1 / 3)
+    good = np.full((3, 2, 2), 1 / 3)
     with pytest.raises(ValueError):
-        ProbabilityRaster(GridShape(2, 2, 3), good[..., :2])
+        ProbabilityRaster(GridShape(2, 2, 3), good[:2])
     bad = good.copy()
     bad[0, 0, 0] = -0.1
     with pytest.raises(ValueError):
         ProbabilityRaster(GridShape(2, 2, 3), bad)
     bad = good.copy()
-    bad[1, 1, 2] = np.nan
+    bad[2, 1, 1] = np.nan
     with pytest.raises(ValueError):
         ProbabilityRaster(GridShape(2, 2, 3), bad)
     bad = good.copy()
-    bad[0, 1] = (0.5, 0.4, 0.2)  # does not sum to 1
+    bad[:, 0, 1] = (0.5, 0.4, 0.2)  # does not sum to 1
     with pytest.raises(ValueError):
         ProbabilityRaster(GridShape(2, 2, 3), bad)
 
 
 def test_probability_raster_unit_sum_tolerance():
-    v = np.full((3, 2, 4), 0.25)
-    v[2, 1] = (0.25, 0.25, 0.25, 0.25 + 2e-6)
+    v = np.full((4, 3, 2), 0.25)
+    v[:, 2, 1] = (0.25, 0.25, 0.25, 0.25 + 2e-6)
     with pytest.raises(ValueError, match="sum to 1"):
         ProbabilityRaster(GridShape(2, 3, 4), v)
-    v[2, 1, 3] = 0.25 + 5e-7
+    v[3, 2, 1] = 0.25 + 5e-7
     ProbabilityRaster(GridShape(2, 3, 4), v)
 
 
@@ -95,24 +95,25 @@ def test_label_raster_accepts_nodata_and_rejects_stray_values():
 
 
 def test_rasters_are_immutable():
-    r = make_prob(np.full((2, 2, 4), 0.25))
+    r = make_prob(np.full((4, 2, 2), 0.25))
     with pytest.raises(ValueError):
         r.values[0, 0, 0] = 1.0
 
 
 def _planes_of(r: ProbabilityRaster) -> np.ndarray:
-    """The (C, H, W) class planes under a raster's (H, W, C) values, checked to
-    be one read-only C-contiguous array."""
-    planes = np.moveaxis(r.values, 2, 0)
-    assert r.values.shape == (r.shape.height, r.shape.width, r.shape.n_classes)
+    """A raster's values, checked to be its (C, H, W) float64 class planes in one
+    read-only C-contiguous array."""
+    planes = r.values
+    assert planes.shape == (r.shape.n_classes, r.shape.height, r.shape.width)
+    assert planes.dtype == np.float64
     assert planes.flags.c_contiguous and not planes.flags.writeable
-    assert not r.values.flags.writeable
     return planes
 
 
 def test_rasters_hold_contiguous_read_only_class_planes(tmp_path, small_scene):
-    """Loaded, fused and generated rasters keep the file's band-sequential
-    planes under their (H, W, C) values; only strided planes are copied."""
+    """Loaded, fused and generated rasters hold the file's band-sequential
+    planes as their values; only strided planes are copied, and the caller's
+    array stays writeable."""
     spec = InvestigatorSpec(noise_rate=0.2, confusion_kernel=uniform_kernel(4),
                             softness=5.0, seed=3)
     made = generate_investigator(small_scene, spec)
@@ -120,11 +121,14 @@ def test_rasters_hold_contiguous_read_only_class_planes(tmp_path, small_scene):
     loaded = load_probability_raster(tmp_path / "p")
     for r in (made, loaded, fuse([made, loaded]), fuse([made, loaded], [0.5, 2.0])):
         _planes_of(r)
-    planes = np.ascontiguousarray(np.moveaxis(made.values, 2, 0))
-    kept = ProbabilityRaster(made.shape, np.moveaxis(planes, 0, 2))
+    planes = np.array(made.values)
+    kept = ProbabilityRaster(made.shape, planes)
     assert np.shares_memory(_planes_of(kept), planes)           # no copy
-    copied = ProbabilityRaster(made.shape, np.ascontiguousarray(made.values))
-    assert np.array_equal(_planes_of(copied), planes)
+    assert planes.flags.writeable
+    strided = np.ascontiguousarray(np.moveaxis(made.values, 0, 2)).transpose(2, 0, 1)
+    copied = ProbabilityRaster(made.shape, strided)
+    assert not np.shares_memory(_planes_of(copied), strided)
+    assert np.array_equal(copied.values, planes)
 
 
 def _same_bits(a, b) -> bool:
@@ -135,29 +139,31 @@ def _same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("c", [4, 9])
 def test_kernels_give_the_same_bits_for_either_input_layout(tmp_path, c):
-    """Values built pixel-major (C order) and band-major give bit-identical
-    regularized values, labels, entropy, fusion and saved payloads, equal to
-    the per-pixel operations in class order on the C-order array. From 8
-    classes numpy sums a contiguous class axis pairwise, not in class order,
-    so C = 9 tells a layout-dependent sum apart."""
+    """Class planes given strided (a view of a pixel-major array) and contiguous
+    give bit-identical regularized values, labels, entropy, fusion and saved
+    payloads, equal to the per-pixel operations in class order. From 8 classes
+    numpy sums a contiguous class axis pairwise, not in class order, so C = 9
+    tells a layout-dependent sum apart."""
     rng = np.random.default_rng(c)
     raw = rng.random((2, 13, 11, c)) ** 4 * 10.0 ** rng.integers(-9, 1, (2, 13, 11, c))
     raw[0, 0, 0, 1] = 0.0                       # one zero for regularize to replace
-    band_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(raw, 3, 1)), 1, 3)
-    reg_c, reg_b = map(regularize, (raw, band_major))
-    assert _same_bits(reg_c, reg_b)
+    strided = raw.transpose(0, 3, 1, 2)         # (2, C, H, W) over pixel-major memory
+    reg_s = np.stack([regularize(v) for v in strided])
+    reg_c = np.stack([regularize(np.ascontiguousarray(v)) for v in strided])
+    assert _same_bits(reg_s, reg_c)
     # the reference: each pixel renormalized by its sum in class order
-    ref = np.where(raw == 0.0, 1e-10, raw)
-    ref = ref / sum(ref[..., k] for k in range(c))[..., None]
+    ref = np.where(strided == 0.0, 1e-10, strided)
+    ref = ref / sum(ref[:, k] for k in range(c))[:, None]
     assert _same_bits(reg_c, ref)
 
     shape = GridShape(11, 13, c)
-    pixel_major = [ProbabilityRaster(shape, np.ascontiguousarray(v)) for v in ref]
-    planar = [ProbabilityRaster(shape, v) for v in reg_b]
-    for a, b, v in zip(pixel_major, planar, ref):
+    pixel_major = np.ascontiguousarray(ref.transpose(0, 2, 3, 1))
+    from_strided = [ProbabilityRaster(shape, v.transpose(2, 0, 1)) for v in pixel_major]
+    planar = [ProbabilityRaster(shape, v) for v in reg_c]
+    for a, b, v in zip(from_strided, planar, ref):
         assert _same_bits(hard_classify(a).values, hard_classify(b).values)
-        assert np.array_equal(hard_classify(a).values, np.argmax(v, axis=2))
-        h = -sum((v * np.log2(v))[..., k] for k in range(c))
+        assert np.array_equal(hard_classify(a).values, np.argmax(v, axis=0))
+        h = -sum((v * np.log2(v))[k] for k in range(c))
         assert _same_bits(entropy_map(a), entropy_map(b))
         assert _same_bits(entropy_map(b), np.clip(h, 0.0, np.log2(c)))
     for w in (None, [0.25, 3.0]):
@@ -166,25 +172,40 @@ def test_kernels_give_the_same_bits_for_either_input_layout(tmp_path, c):
         acc += ref[1] * wj[1]
         acc += 1.0
         acc /= c + wj.sum()
-        assert _same_bits(fuse(pixel_major, w).values, fuse(planar, w).values)
+        assert _same_bits(fuse(from_strided, w).values, fuse(planar, w).values)
         assert _same_bits(fuse(planar, w).values, acc)
-    save_probability_raster(pixel_major[0], tmp_path / "a")
+    save_probability_raster(from_strided[0], tmp_path / "a")
     save_probability_raster(planar[0], tmp_path / "b")
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
-    assert (tmp_path / "a").read_bytes() == np.moveaxis(ref[0], 2, 0).astype("<f4").tobytes()
+    assert (tmp_path / "a").read_bytes() == ref[0].astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("c", [9, 12])
+def test_regularize_gives_a_pixel_the_same_bits_alone_or_in_bulk(c):
+    """Each pixel's sum runs in class order whatever the array's shape, so a
+    pixel regularized alone (as a vector or a 1x1 grid) has the bits it has
+    when its whole 8x8 grid is regularized at once."""
+    rng = np.random.default_rng(c)
+    planes = rng.random((c, 8, 8)) ** 4 * 10.0 ** rng.integers(-9, 1, (c, 8, 8))
+    bulk = regularize(planes)
+    for i in range(8):
+        for j in range(8):
+            assert _same_bits(regularize(planes[:, i, j]), bulk[:, i, j])
+            assert _same_bits(regularize(planes[:, i:i + 1, j:j + 1]),
+                              bulk[:, i:i + 1, j:j + 1])
 
 
 def test_hard_classify_examples():
-    r = make_prob([[[0.1, 0.7, 0.1, 0.1]]])
+    r = pixel([0.1, 0.7, 0.1, 0.1])
     assert hard_classify(r).values[0, 0] == 1
-    r = make_prob([[[0.1, 0.2, 0.3, 0.4]]])
+    r = pixel([0.1, 0.2, 0.3, 0.4])
     assert hard_classify(r).values[0, 0] == 3
 
 
 def test_hard_classify_tie_breaks_low():
-    r = make_prob([[[0.25, 0.25, 0.25, 0.25]]])
+    r = pixel([0.25, 0.25, 0.25, 0.25])
     assert hard_classify(r).values[0, 0] == 0
-    r = make_prob([[[0.1, 0.45, 0.45]]])
+    r = pixel([0.1, 0.45, 0.45])
     assert hard_classify(r).values[0, 0] == 1
 
 
@@ -197,7 +218,7 @@ def test_argmax_scale_invariance(raw, scale):
     # scaling can make it an exact tie, which hard_classify breaks low
     p = np.array(raw)
     assert np.argmax(p) == np.argmax(p * scale)
-    a = make_prob((p / p.sum()).reshape(1, 1, -1))
+    a = pixel(p / p.sum())
     assert hard_classify(a).values[0, 0] == np.argmax(p)
 
 
@@ -205,9 +226,9 @@ def test_argmax_scale_invariance(raw, scale):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_hard_classify_matches_argmax(seed):
     rng = np.random.default_rng(seed)
-    g = rng.gamma(1.0, size=(3, 4, 5)) + 1e-12
-    p = g / g.sum(axis=2, keepdims=True)
-    assert (hard_classify(make_prob(p)).values == p.argmax(axis=2)).all()
+    g = rng.gamma(1.0, size=(5, 3, 4)) + 1e-12
+    p = g / g.sum(axis=0)
+    assert (hard_classify(make_prob(p)).values == p.argmax(axis=0)).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -223,7 +244,7 @@ def test_first_max_is_argmax_over_the_planes_with_ties(seed, c, dtype):
     got = first_max(planes)
     assert got.dtype == np.uint8
     assert (got == planes.argmax(axis=0)).all()
-    # the planes of an (H, W, C) array, as hard_classify passes them
+    # strided planes, those of a pixel-major (H, W, C) array, give the same labels
     last = np.moveaxis(planes, 0, 2)
     assert (first_max([last[..., k] for k in range(c)]) == got).all()
 

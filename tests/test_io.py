@@ -35,7 +35,7 @@ def test_probability_round_trip_exact_on_representable_values(tmp_path):
     # so neither quantization nor the load-time renormalization may move them.
     rng = np.random.default_rng(0)
     counts = rng.multinomial(61, [1 / 3] * 3, size=5 * 4).reshape(5, 4, 3) + 1
-    r = ProbabilityRaster(GridShape(4, 5, 3), counts / 64.0)
+    r = ProbabilityRaster(GridShape(4, 5, 3), counts.transpose(2, 0, 1) / 64.0)
     save_probability_raster(r, tmp_path / "a")
     once = load_probability_raster(tmp_path / "a")
     assert (once.values == r.values).all()
@@ -51,7 +51,7 @@ def test_probability_round_trip_quantizes_within_f32(tmp_path):
     again = load_probability_raster(tmp_path / "a")
     assert np.abs(once.values - r.values).max() < 1e-6
     assert (once.values == again.values).all()      # loading is deterministic
-    assert np.abs(once.values.sum(axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(once.values.sum(axis=0) - 1.0).max() < 1e-12
     # repeated generations may jitter by an f32 ulp but never drift further
     save_probability_raster(once, tmp_path / "b")
     twice = load_probability_raster(tmp_path / "b")
@@ -100,7 +100,7 @@ def test_band_sequential_layout(tmp_path):
     save_probability_raster(r, tmp_path / "p")
     raw = np.frombuffer((tmp_path / "p").read_bytes(), dtype="<f4")
     # all of band 0 (row-major), then band 1, ...
-    expected = np.moveaxis(r.values, 2, 0).astype("<f4").ravel()
+    expected = r.values.astype("<f4").ravel()
     assert (raw == expected).all()
 
 
@@ -218,7 +218,7 @@ def test_probability_load_allocates_one_float64_raster(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert r.values.shape == (h, w, c)
+    assert r.values.shape == (c, h, w)
     assert peak < h * w * c * 4 + 1.5 * (h * w * c * 8)
 
 

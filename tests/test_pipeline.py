@@ -27,7 +27,7 @@ from mapfuse.pipeline import (PipelineConfig, discover_investigators,
 from mapfuse.synth import materialize_scenario, two_style_scenario
 from mapfuse.weights import estimate_weights
 
-from conftest import make_prob
+from conftest import make_prob, pixel
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,7 @@ def test_first_bad_map_fails_the_pooled_load(tmp_path, capsys, command):
     data, rng = tmp_path / "data", np.random.default_rng(5)
     ids = [f"inv{j}" for j in range(7)]
     for name in ids:
-        save_probability_raster(make_prob(rng.dirichlet(np.ones(3), size=(6, 5))),
+        save_probability_raster(make_prob(rng.dirichlet(np.ones(3), size=(6, 5)).transpose(2, 0, 1)),
                                 data / name)
     raw = bytearray((data / "inv2").read_bytes())
     raw[8:12] = np.float32(np.nan).tobytes()
@@ -498,16 +498,16 @@ def test_rerun_is_byte_identical(panel_dir, tmp_path):
 # ------------------------------------------------------------- baseline
 
 def test_plurality_baseline_majority_and_ties():
-    m = [make_prob([[[0.8, 0.1, 0.1]]]),
-         make_prob([[[0.7, 0.2, 0.1]]]),
-         make_prob([[[0.1, 0.8, 0.1]]])]
+    m = [pixel([0.8, 0.1, 0.1]),
+         pixel([0.7, 0.2, 0.1]),
+         pixel([0.1, 0.8, 0.1])]
     assert plurality_baseline(m).values[0, 0] == 0
     # one vote each for classes 0 and 1 -> tie -> lowest index
     assert plurality_baseline(m[1:]).values[0, 0] == 0
     with pytest.raises(ValueError, match="no maps"):
         plurality_baseline([])
     # a 1x1 map must not vote into a 2x2 grid, nor a 3x3 map index past it
-    one, two, three = (make_prob(np.full((n, n, 2), 0.5)) for n in (1, 2, 3))
+    one, two, three = (make_prob(np.full((2, n, n), 0.5)) for n in (1, 2, 3))
     for panel in ([one, two], [two, three]):
         with pytest.raises(ValueError, match="shape mismatch"):
             plurality_baseline(panel)
@@ -529,7 +529,7 @@ def test_plurality_baseline_matches_the_indexed_vote_with_ties(n_maps, n_classes
     labels = rng.integers(0, n_classes, size=(n_maps, 12, 10))
     labels[: n_maps // 2, 0] = n_classes - 1      # planted ties: top class vs. class 0
     labels[n_maps // 2:, 0] = 0
-    maps = [make_prob(np.where(np.arange(n_classes) == lab[..., None], 0.7,
+    maps = [make_prob(np.where(np.arange(n_classes)[:, None, None] == lab, 0.7,
                                0.3 / (n_classes - 1))) for lab in labels]
     got = plurality_baseline(maps).values
     assert np.array_equal(got, _plurality_reference(maps))
@@ -546,7 +546,7 @@ def test_plurality_baseline_counts_past_the_vote_dtype(n_maps):
     labels[n_maps // 2:, 0, 1] = 2
     labels[:44, 0, 2] = 0                         # 44 for class 0, the rest class 1
     labels[44:, 0, 2] = 1
-    maps = [make_prob(np.where(np.arange(3) == lab[..., None], 0.7, 0.15))
+    maps = [make_prob(np.where(np.arange(3)[:, None, None] == lab, 0.7, 0.15))
             for lab in labels]
     got = plurality_baseline(maps).values
     assert np.array_equal(got, _plurality_reference(maps))
@@ -564,7 +564,7 @@ def test_discovery_prefers_index(panel_dir):
 def test_discovery_falls_back_to_sidecar_scan(tmp_path):
     rng = np.random.default_rng(0)
     for name in ("alpha", "beta"):
-        v = rng.dirichlet(np.ones(3), size=(4, 4))
+        v = rng.dirichlet(np.ones(3), size=(4, 4)).transpose(2, 0, 1)
         save_probability_raster(make_prob(v), tmp_path / name)
     # a reference-looking label raster must not be picked up
     save_label_raster(LabelRaster(GridShape(4, 4, 3),
@@ -575,7 +575,7 @@ def test_discovery_falls_back_to_sidecar_scan(tmp_path):
     # dotted names keep the whole name as the id, and only the exact
     # reference names are skipped
     for name in ("inv.a", "inv.b", "truth.v2"):
-        v = rng.dirichlet(np.ones(3), size=(4, 4))
+        v = rng.dirichlet(np.ones(3), size=(4, 4)).transpose(2, 0, 1)
         save_probability_raster(make_prob(v), tmp_path / name)
     named = discover_investigators(tmp_path)
     assert named == [(n, tmp_path / n)

@@ -86,7 +86,7 @@ def _theta_newton(theta, kappa, lin, theta_obj, max_iter=30):
 def _theta_problem(maps, kappa):
     """The theta block at fixed kappa on all pixels: start, lin, objective."""
     shape = maps[0].shape
-    stack = np.stack([m.values.reshape(shape.n_pixels, shape.n_classes)
+    stack = np.stack([m.values.reshape(shape.n_classes, shape.n_pixels).T
                       for m in maps])
     logp = np.log(stack)
     ev = 1.0 + np.einsum("j,jnc->nc", kappa, stack)
@@ -144,7 +144,8 @@ def test_objective_ascends_every_iteration():
 def _kkt_fixtures():
     scattered = _panel((0.05, 0.1, 0.15), seed=9)
     flat = np.random.default_rng(99).dirichlet(np.ones(4), size=(32, 32))
-    scattered.append(ProbabilityRaster(scattered[0].shape, regularize(flat)))
+    scattered.append(ProbabilityRaster(scattered[0].shape,
+                                       regularize(flat.transpose(2, 0, 1))))
     return {
         # first outer iteration: unit kappa, posterior-mean start
         "unit-kappa": (_panel((0.05, 0.20, 0.40)), np.ones(3)),
@@ -471,7 +472,7 @@ def test_scattered_reports_score_below_consistent_investigators():
     rng = np.random.default_rng(99)
     shape = maps[0].shape
     flat = rng.dirichlet(np.ones(4), size=(shape.height, shape.width))
-    noise_map = ProbabilityRaster(shape, regularize(flat))
+    noise_map = ProbabilityRaster(shape, regularize(flat.transpose(2, 0, 1)))
     est = estimate_weights(maps + [noise_map])
     assert est.kappa[3] < est.kappa[:3].min()
 
