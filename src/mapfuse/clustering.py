@@ -95,11 +95,9 @@ class ClusterModel:
         object.__setattr__(self, "centers", _freeze(np.asarray(self.centers)))
 
 
-def _canonical(assignment: np.ndarray, k: int) -> np.ndarray:
+def _canonical(assignment: np.ndarray) -> np.ndarray:
     """Relabel clusters in order of first appearance (smallest member index)."""
     order = {a: c for c, a in enumerate(dict.fromkeys(assignment.tolist()))}
-    if len(order) != k:
-        raise ValueError("every cluster must be non-empty")
     return np.array([order[a] for a in assignment.tolist()], dtype=np.int64)
 
 
@@ -163,7 +161,7 @@ def kmeans_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Cluster
     runs = [_lloyd(features.sqeuclidean, k, np.random.default_rng((seed, restart)))
             for restart in range(10)]
     assign, inertia = min(runs, key=lambda run: run[1])     # first of any ties
-    assign = _canonical(assign, k)
+    assign = _canonical(assign)
     centers = np.stack([features.rows[assign == c].mean(axis=0) for c in range(k)])
     return ClusterModel("kmeans", k, assign, centers, inertia, seed)
 
@@ -201,7 +199,7 @@ def kmedoids_cluster(features: EntropyFeatureMatrix, k: int, seed: int) -> Clust
         medoids[i], cost = int(hs[h]), float(costs.min())
 
     medoids = np.array(sorted(medoids))
-    assign = _canonical(dist[:, medoids].argmin(axis=1), k)
+    assign = _canonical(dist[:, medoids].argmin(axis=1))
     # distinct medoids each own their cluster: list them in canonical order
     ordered = np.empty(k, dtype=np.int64)
     ordered[assign[medoids]] = medoids

@@ -1,14 +1,16 @@
 """End-to-end orchestration: load maps, fuse every requested way, assess.
 
-A run checks every input before it creates anything (_load). The kappa fit
-then starts on a thread pool, and underneath it the run plans its variants —
-a plurality-vote baseline, plain unweighted fusion, confidence-weighted
-fusion, and one variant per cluster group per method per k (_plan, which
-writes nothing). Only then does it write the cluster models and a manifest of
-the outputs it intends to produce, the first of which makes the output
-directory; one task per distinct set of fused maps writes its outputs under
-every variant id naming that set. Everything derived from randomness is
-seeded, so re-running a config reproduces every CSV byte for byte.
+A run plans, then runs. It checks every input before it creates anything
+(_load), then plans its variants — a plurality-vote baseline, plain
+unweighted fusion, confidence-weighted fusion, and one variant per cluster
+group per method per k (_plan, which fits the cluster models and writes
+nothing). Only then does it write the cluster models and a manifest of the
+outputs it intends to produce, the first of which makes the output
+directory, and open a thread pool: one task per distinct set of fused maps
+writes its outputs under every variant id naming that set, the weighted
+set's task after fitting the kappa weights. No task waits on another.
+Everything derived from randomness is seeded, so re-running a config
+reproduces every CSV byte for byte.
 
 The baseline deserves a caveat: it is the per-pixel plurality label
 across investigator hard maps, a fusion-free composite standing in for a
@@ -166,11 +168,7 @@ def _load(config):
         raise ValueError(f"map shape {maps[0].shape} != reference {reference.shape}")
     if len(maps) < 2 and {"weighted", "clustered"} & set(config.fusion_modes):
         raise ValueError("weighting and clustering require at least 2 investigator maps")
-    if "clustered" in config.fusion_modes:
-        for k in config.k_values:
-            if k > len(maps):
-                raise ValueError(f"k={k} exceeds the {len(maps)} investigator maps")
-    # drawing checks the sample sizes, so a bad size fails before the fit
+    # drawing checks the sample sizes, so a bad size fails before the plan
     samples = stratified_samples(reference, config.mc_iterations,
                                  config.per_class_samples, config.seed)
     return reference, ids, maps, samples
@@ -198,77 +196,72 @@ def _plan(config, maps):
 
 def run_pipeline(config: PipelineConfig) -> dict:
     reference, ids, maps, samples = _load(config)
+    key_of, models = _plan(config, maps)
     out = Path(config.output_dir)
+    for name, model in models.items():
+        save_cluster_model(model, out / name)
+    ids_of = {}            # key -> variant ids in plan order
+    for vid, key in key_of.items():
+        ids_of.setdefault(key, []).append(vid)
+    manifest = {
+        "config": asdict(config),
+        "variants": [
+            {"id": vid,
+             "files": ([] if vid == BASELINE else [f"{vid}_prob", f"{vid}_prob.json"])
+             + [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"],
+             "status": "planned",
+             "members": ids if isinstance(key, str) else [ids[i] for i in key],
+             "set_id": ids_of[key][0]}
+            for vid, key in key_of.items()],
+        "tables": ["summary.csv", "iji.csv", "ttests.csv"],
+    }
 
-    # ---- plan and execute ---------------------------------------------
-    # The kappa fit is the longest task, so it goes onto the pool first and
-    # the clustering (_plan) runs underneath it; numpy releases the GIL in
-    # both. Once the prefix and the set tasks are done, the fit's sweep
-    # blocks fill every core. Beyond the fit and the weighted task's wait,
-    # threads past the core count add allocator arenas (peak RSS), not speed.
-    with ThreadPoolExecutor(max_workers=min(8, CORES + 2)) as pool:
-        weights_future = (pool.submit(estimate_weights, maps, seed=config.seed)
-                          if "weighted" in config.fusion_modes else None)
-        key_of, models = _plan(config, maps)
-        for name, model in models.items():
-            save_cluster_model(model, out / name)
-        ids_of = {}            # key -> variant ids in plan order
-        for vid, key in key_of.items():
-            ids_of.setdefault(key, []).append(vid)
-        manifest = {
-            "config": asdict(config),
-            "variants": [
-                {"id": vid,
-                 "files": ([] if vid == BASELINE else [f"{vid}_prob", f"{vid}_prob.json"])
-                 + [f"{vid}_label", f"{vid}_label.json", f"{vid}_mc.csv"],
-                 "status": "planned",
-                 "members": ids if isinstance(key, str) else [ids[i] for i in key],
-                 "set_id": ids_of[key][0]}
-                for vid, key in key_of.items()],
-            "tables": ["summary.csv", "iji.csv", "ttests.csv"],
-        }
+    def save_manifest():
+        write_text_atomic(out / "manifest.json",
+                          json.dumps(manifest, indent=2, default=str))
 
-        def save_manifest():
-            write_text_atomic(out / "manifest.json",
-                              json.dumps(manifest, indent=2, default=str))
+    save_manifest()
+    fit = None             # the weighted set's kappa fit, for the manifest
 
-        save_manifest()
+    def run_set(key):
+        nonlocal fit
+        prob = None
+        if key == "weighted":
+            fit = estimate_weights(maps, seed=config.seed)
+            save_weights_csv(fit, out / "weights.csv", ids=ids)
+            prob = fuse(maps, weights=fit.kappa)
+        elif key != BASELINE:
+            prob = fuse([maps[i] for i in key])
+        label = plurality_baseline(maps) if prob is None else fused_label_map(prob)
+        mc = monte_carlo_assess(label, reference, config.mc_iterations,
+                                config.per_class_samples, config.seed,
+                                samples=samples)
+        # encoded once, written under every variant id naming the set
+        if prob is not None:
+            save_probability_raster(prob, *(out / f"{vid}_prob" for vid in ids_of[key]))
+        save_label_raster(label, *(out / f"{vid}_label" for vid in ids_of[key]))
+        write_mc_csv(mc, reference.shape.class_names,
+                     *(out / f"{vid}_mc.csv" for vid in ids_of[key]))
+        return edge_table(label), mc
 
-        def run_set(key):
-            prob = None
-            if key == "weighted":
-                est = weights_future.result()
-                save_weights_csv(est, out / "weights.csv", ids=ids)
-                prob = fuse(maps, weights=est.kappa)
-            elif key != BASELINE:
-                prob = fuse([maps[i] for i in key])
-            label = plurality_baseline(maps) if prob is None else fused_label_map(prob)
-            mc = monte_carlo_assess(label, reference, config.mc_iterations,
-                                    config.per_class_samples, config.seed,
-                                    samples=samples)
-            # encoded once, written under every variant id naming the set
-            if prob is not None:
-                save_probability_raster(prob, *(out / f"{vid}_prob" for vid in ids_of[key]))
-            save_label_raster(label, *(out / f"{vid}_label" for vid in ids_of[key]))
-            write_mc_csv(mc, reference.shape.class_names,
-                         *(out / f"{vid}_mc.csv" for vid in ids_of[key]))
-            return edge_table(label), mc
-
-        # the weighted task first, the rest in plan order (a stable sort)
+    # ---- run the sets ---------------------------------------------------
+    # The weighted set runs the kappa fit, the longest task, so it goes first
+    # and the rest follow in plan order (a stable sort). Beyond it and one
+    # thread per core, threads add allocator arenas (peak RSS), not speed.
+    with ThreadPoolExecutor(max_workers=min(8, CORES + 1)) as pool:
         futures = {key: pool.submit(run_set, key)
                    for key in sorted(ids_of, key=lambda k: k != "weighted")}
-        # a failed set fails every id that names it; the manifest says so
-        # before the pool waits out the fit
-        errors = {key: futures[key].exception() for key in ids_of}
-        for e in manifest["variants"]:
-            exc = errors[key_of[e["id"]]]
-            e["status"] = "failed" if exc else "done"
-            if exc:
-                e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
-        failure = next(filter(None, errors.values()), None)
-        if failure:
-            save_manifest()
-            raise failure
+    # a failed set fails every id that names it
+    errors = {key: futures[key].exception() for key in ids_of}
+    for e in manifest["variants"]:
+        exc = errors[key_of[e["id"]]]
+        e["status"] = "failed" if exc else "done"
+        if exc:
+            e["error"] = (str(exc).splitlines() or [type(exc).__name__])[0]
+    failure = next(filter(None, errors.values()), None)
+    if failure:
+        save_manifest()
+        raise failure
     results = {vid: futures[key].result() for vid, key in key_of.items()}
 
     # ---- joins: IJI, t-tests, summary -----------------------------------
@@ -291,13 +284,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 *_column_means(mc.producers), summary[vid]["iji"]]
                for vid, (_, mc) in results.items()))
 
-    if weights_future is not None:
+    if fit is not None:
         # the fit's diagnostics live here, never in a CSV
-        est = weights_future.result()
-        manifest["weights"] = {"iterations": est.iterations,
-                               "converged": est.converged,
-                               "log_posterior": est.log_posterior,
-                               "trace": list(est.trace)}
+        manifest["weights"] = {"iterations": fit.iterations,
+                               "converged": fit.converged,
+                               "log_posterior": fit.log_posterior,
+                               "trace": list(fit.trace)}
     save_manifest()
     return {"output_dir": str(out), "variants": list(results), "summary": summary,
             "manifest": str(out / "manifest.json")}

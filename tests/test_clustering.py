@@ -390,7 +390,7 @@ def loop_kmedoids(dist, k, seed):
         medoids[mi] = h
         cost = float(costs.min())
     medoids = np.array(sorted(medoids))
-    assign = clustering._canonical(dist[:, medoids].argmin(axis=1), k)
+    assign = clustering._canonical(dist[:, medoids].argmin(axis=1))
     ordered = np.empty(k, dtype=np.int64)
     ordered[assign[medoids]] = medoids
     return assign, ordered, cost

@@ -5,7 +5,6 @@ import json
 import os
 import shutil
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +114,23 @@ def test_config_file_round_trip(tmp_path):
         load_pipeline_config(p)
 
 
-def test_invalid_k_rejected_before_compute(panel_dir, tmp_path):
-    with pytest.raises(ValueError, match="exceeds the 4 investigator"):
+def counting_fits(monkeypatch):
+    """A list that records every kappa fit the pipeline starts."""
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return estimate_weights(*args, **kwargs)
+
+    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", counting_fit)
+    return fits
+
+
+def test_invalid_k_rejected_before_compute(panel_dir, tmp_path, monkeypatch):
+    fits = counting_fits(monkeypatch)
+    with pytest.raises(ValueError, match="k=5 exceeds the 4 distinct maps"):
         run_pipeline(config_for(panel_dir, tmp_path / "o", k_values=(5,)))
+    assert fits == []
     assert not (tmp_path / "o").exists()
 
 
@@ -129,13 +142,7 @@ def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
     n = ref.shape.n_classes
     counts = np.bincount(ref.values.ravel(), minlength=n)[:n]    # NODATA dropped
     smallest = int(np.argmin(np.where(counts > 0, counts, counts.max() + 1)))
-    fits = []
-
-    def counting_fit(*args, **kwargs):
-        fits.append(args)
-        return estimate_weights(*args, **kwargs)
-
-    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", counting_fit)
+    fits = counting_fits(monkeypatch)
     with pytest.raises(ValueError) as info:
         run_pipeline(config_for(panel_dir, tmp_path / "o",
                                 per_class_samples=int(counts[smallest]) + 1))
@@ -146,13 +153,7 @@ def test_small_reference_class_rejected_before_the_fit(panel_dir, tmp_path,
 
 def test_output_dir_naming_a_file_exits_2_before_the_fit(panel_dir, tmp_path, capsys,
                                                          monkeypatch):
-    fits = []
-
-    def counting_fit(*args, **kwargs):
-        fits.append(args)
-        return estimate_weights(*args, **kwargs)
-
-    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", counting_fit)
+    fits = counting_fits(monkeypatch)
     blocker = tmp_path / "run"
     blocker.write_text("in the way")
     cfg = tmp_path / "c.json"
@@ -395,27 +396,35 @@ def test_failed_manifest_write_keeps_the_planned_manifest(panel_dir, tmp_path,
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
-def test_prefix_error_joins_the_running_fit(panel_dir, tmp_path, monkeypatch):
-    fit, fit_started = mapfuse.pipeline.estimate_weights, threading.Event()
+@pytest.mark.parametrize("failure", ["clustering", "cluster-model-write"])
+def test_prefix_failure_starts_no_fit(panel_dir, tmp_path, monkeypatch, failure):
+    """The plan and its writes come before the pool: a failure there raises
+    with no kappa fit started and no thread left running."""
+    fits = counting_fits(monkeypatch)
+    if failure == "clustering":
+        def broken_kmeans(*args, **kw):
+            raise RuntimeError("kmeans broke")
 
-    def slow_fit(*args, **kw):
-        fit_started.set()
-        time.sleep(0.5)      # still running when the prefix fails
-        return fit(*args, **kw)
+        monkeypatch.setattr(mapfuse.pipeline, "kmeans_cluster", broken_kmeans)
+        error = (RuntimeError, "kmeans broke")
+    else:
+        real = os.replace
 
-    def broken_kmeans(*args, **kw):
-        fit_started.wait(10)   # the fit is submitted before the clustering
-        raise RuntimeError("kmeans broke")
+        def replace(src, dst):
+            if Path(dst).name == "cluster_kmeans_k2.json":
+                raise OSError("disk full")
+            return real(src, dst)
 
-    monkeypatch.setattr(mapfuse.pipeline, "estimate_weights", slow_fit)
-    monkeypatch.setattr(mapfuse.pipeline, "kmeans_cluster", broken_kmeans)
+        monkeypatch.setattr(os, "replace", replace)
+        error = (OSError, "disk full")
     before = set(threading.enumerate())
     out = tmp_path / "run"
-    with pytest.raises(RuntimeError, match="kmeans broke"):
+    with pytest.raises(error[0], match=error[1]):
         run_pipeline(config_for(panel_dir, out))
-    assert fit_started.is_set()
+    assert fits == []
     assert [t for t in threading.enumerate() if t not in before] == []
-    assert not out.exists()        # the plan comes before the output directory
+    if failure == "clustering":
+        assert not out.exists()        # the plan comes before the output directory
 
 
 def test_fit_error_in_a_sweep_block_fails_only_the_weighted_set(
@@ -477,22 +486,24 @@ def test_manifest_keeps_weight_fit_diagnostics(panel_dir, tmp_path):
     assert "weights" not in manifest
 
 
-def test_rerun_is_byte_identical(panel_dir, tmp_path):
-    cfg_a = config_for(panel_dir, tmp_path / "a")
-    cfg_b = config_for(panel_dir, tmp_path / "b")
-    run_pipeline(cfg_a)
-    run_pipeline(cfg_b)
+def test_rerun_is_byte_identical(panel_dir, tmp_path, monkeypatch):
+    """Reruns write the same bytes, also on a pool of two threads (the
+    weighted task and one set thread): the pool's size changes speed only."""
+    run_pipeline(config_for(panel_dir, tmp_path / "a"))
+    run_pipeline(config_for(panel_dir, tmp_path / "b"))
+    monkeypatch.setattr(mapfuse.pipeline, "CORES", 1)
+    run_pipeline(config_for(panel_dir, tmp_path / "c"))
     names = [p.name for p in sorted((tmp_path / "a").iterdir())]
-    assert names == [p.name for p in sorted((tmp_path / "b").iterdir())]
-    for name in names:
-        if name == "manifest.json":   # embeds the differing output_dir
-            a = json.loads((tmp_path / "a" / name).read_text())
-            b = json.loads((tmp_path / "b" / name).read_text())
-            assert a["variants"] == b["variants"]
-            continue
-        a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        assert a == b, f"{name} differs between identical runs"
+    for other in ("b", "c"):
+        assert names == [p.name for p in sorted((tmp_path / other).iterdir())]
+        for name in names:
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / other / name).read_bytes()
+            if name == "manifest.json":   # embeds the differing output_dir
+                a, b = json.loads(a), json.loads(b)
+                assert a["variants"] == b["variants"] and a["weights"] == b["weights"]
+                continue
+            assert a == b, f"{name} differs between run a and run {other}"
 
 
 # ------------------------------------------------------------- baseline
