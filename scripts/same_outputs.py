@@ -5,7 +5,11 @@ with only that tree on PYTHONPATH), each into its own temporary output
 directory, and hashes every file written. ``manifest.json`` is compared as
 JSON without ``config.output_dir``, the one entry that names the directory.
 Exits 0 when every file matches, and 1 naming each file that differs or is
-written on one side only.
+written on one side only. Where ``weights.csv`` differs, it also prints the
+largest relative kappa difference over the investigator ids both sides
+wrote, and where the manifest's ``weights.trace`` differs, the largest
+relative difference over the sweeps both traces hold, so a change that
+moves kappa can say by how much.
 
     python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG
 """
@@ -55,6 +59,20 @@ def outputs(out: Path) -> dict:
     return found
 
 
+def kappas(out: Path) -> dict:
+    """Investigator id -> kappa from the run's weights.csv; empty without one."""
+    path = out / "weights.csv"
+    if not path.is_file():
+        return {}
+    rows = (line.split(",") for line in path.read_text().splitlines()[1:])
+    return {name: float(kappa) for name, kappa in rows}
+
+
+def largest_relative(base, change) -> float:
+    """max |c - b| / |b| over the paired values of the two sides."""
+    return max((abs(c - b) / abs(b) for b, c in zip(base, change)), default=0.0)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base_src", help="source tree holding the mapfuse package")
@@ -63,7 +81,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     config = json.loads(Path(args.config).read_text())
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
-        sides = {}
+        sides, weights = {}, {}
         for side, src in (("base", args.base_src), ("change", args.change_src)):
             out = Path(tmp) / side
             try:
@@ -72,12 +90,25 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             sides[side] = outputs(out)
+            weights[side] = kappas(out)
     base, change = sides["base"], sides["change"]
     differ = [n for n in sorted(base.keys() | change.keys()) if base.get(n) != change.get(n)]
     for name in differ:
         where = ("differs" if name in base and name in change
                  else "only under base" if name in base else "only under change")
         print(f"{where}: {name}")
+    if "weights.csv" in differ and weights["base"] and weights["change"]:
+        was, now = weights["base"], weights["change"]
+        ids = sorted(was.keys() & now.keys())
+        move = largest_relative([was[i] for i in ids], [now[i] for i in ids])
+        print(f"weights.csv: largest relative kappa difference {move:.3g} "
+              f"over {len(ids)} shared ids")
+    traces = [side.get("manifest.json", {}).get("weights", {}).get("trace")
+              for side in (base, change)]
+    if None not in traces and traces[0] != traces[1]:
+        print(f"manifest.json weights.trace: largest relative difference "
+              f"{largest_relative(*traces):.3g} over {min(map(len, traces))} shared sweeps "
+              f"(base {len(traces[0])}, change {len(traces[1])})")
     print(f"{len(base.keys() | change.keys())} files, {len(differ)} differ "
           "(manifest.json compared without config.output_dir)")
     return 1 if differ else 0

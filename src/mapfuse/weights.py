@@ -24,8 +24,8 @@ found by block coordinate ascent, accelerated by SQUAREM:
               Chebyshev interpolant in u, widened where a root lies outside
               it, and every Newton runs on that: about 33 N * C special-
               function calls per step instead of J * N * C per iteration.
-              A new kappa_j is kept only if its exact logGamma term does
-              not fall
+              A new kappa_j is kept only if its logGamma term does not
+              fall, by a change read from the same table's integral
   SQUAREM     one sweep (theta-step, then kappa-step) is a fixed-point map
               on u = log kappa that converges at a steady linear rate.
               After two sweeps u1 = F(u0) and u2 = F(u1), with r = u1 - u0,
@@ -41,21 +41,22 @@ Every kept sweep either maximizes or provably improves its blocks, or (a
 jump) ends no lower than the joint it replaces, so the joint
 log-posterior ascends monotonically and the iteration lands on a genuine
 local maximum: at convergence each kappa_j is the 1-D optimum against the
-final theta. Acceptance, the recorded trace and the ascent check all use
-the exact logGamma objective; the per-investigator terms at the current
-point are kept, so neither block recomputes them. Point estimates are all
+final theta. The per-investigator terms at the current point are kept, so
+neither block recomputes them: they are exact after each theta evaluation
+and carried across the kappa step by the table's change, which the
+recorded trace and the ascent check then read. Point estimates are all
 the downstream fusion needs, which is why no sampler is involved.
 
 Parallel sweeps. The special functions release the GIL, so each of a sweep's
 parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements on
-grids.map_on_cores: the joint terms and the kappa-step's acceptance by
-investigator, the H table by node, the theta-step's multiplier Newton by
-pixel. _WORKERS is grids.CORES, the cores of the CPU affinity. A row's
-result depends on that row alone, and each per-row reduction is an
-(a * b).sum(axis=(1, 2)), whose bits do not depend on the block size
-(einsum's do); the kappa Newton on the interpolant runs on the calling
-thread. So the fit is bit-identical for any worker count. Pool threads do
-not inherit np.errstate, so every errstate sits in a block's code.
+grids.map_on_cores: the joint terms by investigator, the H table by node,
+the theta-step's multiplier Newton by pixel. _WORKERS is grids.CORES, the
+cores of the CPU affinity. A row's result depends on that row alone, and
+each per-row reduction is an (a * b).sum(axis=(1, 2)), whose bits do not
+depend on the block size (einsum's do); the kappa Newton and acceptance
+on the interpolants run on the calling thread. So the fit is
+bit-identical for any worker count. Pool threads do not inherit
+np.errstate, so every errstate sits in a block's code.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder
+from numpy.polynomial.chebyshev import chebder, chebint
 from scipy.fft import dct
 from scipy.special import gammaln, psi
 
@@ -123,8 +124,8 @@ class WeightEstimate:
 
     def __post_init__(self):
         k = np.asarray(self.kappa, dtype=np.float64)
-        if (k <= 0).any():
-            raise ValueError("kappa must be positive")
+        if not (np.isfinite(k) & (k > 0)).all():
+            raise ValueError("kappa must be positive and finite")
         object.__setattr__(self, "kappa", _freeze(k))
         object.__setattr__(self, "trace", tuple(self.trace))
 
@@ -138,26 +139,37 @@ def _objective_all(kappa, theta, stats, logp_total, n_pix):
 
 def _psi_sum(theta, lo, hi):
     """H(u) = sum_nc theta_nc psi(e^u theta_nc) on [lo, hi], in u = log
-    kappa, and dH/du, as Chebyshev interpolants; returns both evaluators.
+    kappa, dH/du and L(u) = sum_nc logGamma(e^u theta_nc) up to a constant,
+    as Chebyshev interpolants; returns the three evaluators.
 
     H is evaluated exactly, one node per row of a block, on nested
     Chebyshev-Lobatto grids of 16, 32, ... intervals; the grid doubles
     until its last three coefficients fall below _CHEB_TOL of the largest,
-    or it reaches _MAX_INTERVALS.
+    or it reaches _MAX_INTERVALS. dL/du = e^u H, so L is the integral of
+    the interpolant of e^u H on the same nodes (Clenshaw-Curtis).
     """
+    def kappa_at(x):
+        return np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+
     def at(x):
-        k = np.exp(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        k = kappa_at(x)
         return np.concatenate(_in_blocks(
             lambda rows: (theta * psi(k[rows, None, None] * theta)).sum(axis=(1, 2)),
             x.size, theta.size))
 
+    def coefficients(v):
+        c = dct(v, type=1) / (v.size - 1)
+        c[[0, -1]] /= 2.0
+        return c
+
     n = 16
     vals = at(np.cos(np.pi * np.arange(n + 1) / n))
     while True:
-        c = dct(vals, type=1) / n
-        c[[0, -1]] /= 2.0
+        c = coefficients(vals)
         if n == _MAX_INTERVALS or np.abs(c[-3:]).max() <= _CHEB_TOL * np.abs(c).max():
-            return _series(c, lo, hi), _series(chebder(c, scl=2.0 / (hi - lo)), lo, hi)
+            dl = kappa_at(np.cos(np.pi * np.arange(n + 1) / n)) * vals
+            return (_series(c, lo, hi), _series(chebder(c, scl=2.0 / (hi - lo)), lo, hi),
+                    _series(chebint(coefficients(dl), scl=(hi - lo) / 2.0), lo, hi))
         both = np.empty(2 * n + 1)
         both[::2] = vals            # the old nodes are every other new one
         both[1::2] = at(np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
@@ -193,11 +205,13 @@ def _kappa_newton(kappa0, theta, stats, n_pix):
     a step leaving its bracket (or taken where the curvature is not
     negative) falls back to bisection for that investigator only. An
     investigator whose step falls below 1e-12 leaves the iteration.
+    Returns the new kappa and the final table's L, whose interval holds
+    both every kappa0 and every new kappa.
     """
     u = np.clip(np.log(kappa0), *_LOG_BRACKET)
     ends = np.clip([u.min() - 2.0, u.max() + 2.0], *_LOG_BRACKET)
     while True:
-        h, dh = _psi_sum(theta, *ends)
+        h, dh, big_l = _psi_sum(theta, *ends)
         k = np.exp(ends)[:, None]
         du = k * (n_pix * psi(k) - h(ends)[:, None] + stats + 1.0 / k - 1.0)
         # a root lies inside where du > 0 at the lower end and du <= 0 at the upper
@@ -222,7 +236,7 @@ def _kappa_newton(kappa0, theta, stats, n_pix):
         act = act[np.abs(u_new - ua) >= 1e-12]
         if act.size == 0:
             break
-    return np.clip(np.exp(u), KAPPA_MIN, KAPPA_MAX)
+    return np.clip(np.exp(u), KAPPA_MIN, KAPPA_MAX), big_l
 
 
 def _theta_kkt(theta, kappa, lin):
@@ -295,24 +309,22 @@ def _theta_kkt(theta, kappa, lin):
     return np.concatenate(_in_blocks(solve, n_pix, n_cls))
 
 
-def _kappa_block(kappa, terms, theta, stats, logp_total, n_pix):
-    """kappa step with exact acceptance; returns the kept kappa and terms.
+def _kappa_block(kappa, terms, theta, stats, n_pix):
+    """kappa step with acceptance on the H table; returns the kept kappa
+    and terms.
 
-    An investigator takes its Newton kappa only if its own exact objective
-    term does not fall; its term at the kept kappa is returned with it,
-    so the caller's bookkeeping needs no further sweep.
+    Investigator j's term moves by delta_j = n [logGamma(c) - logGamma(k)]
+    - (L(log c) - L(log k)) + (c - k) stats_j + log(c / k) - (c - k) from
+    k to its Newton kappa c, with L from the Newton's own table, so no
+    J * N * C pass is needed. j takes c only if delta_j >= 0, and its
+    term becomes terms_j + delta_j.
     """
-    cand = _kappa_newton(kappa, theta, stats, n_pix)
-
-    def block(rows):
-        cand_terms = _objective_all(cand[rows], theta, stats[rows], logp_total[rows],
-                                    n_pix)
-        better = cand_terms >= terms[rows]
-        return (np.where(better, cand[rows], kappa[rows]),
-                np.where(better, cand_terms, terms[rows]))
-
-    parts = _in_blocks(block, kappa.size, theta.size)
-    return tuple(map(np.concatenate, zip(*parts)))
+    cand, big_l = _kappa_newton(kappa, theta, stats, n_pix)
+    delta = (n_pix * (gammaln(cand) - gammaln(kappa))
+             - (big_l(np.log(cand)) - big_l(np.log(kappa)))
+             + (cand - kappa) * stats + np.log(cand / kappa) - (cand - kappa))
+    better = delta >= 0
+    return np.where(better, cand, kappa), np.where(better, terms + delta, terms)
 
 
 def _squarem_point(u0, u1, u2):
@@ -369,8 +381,7 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         cand_terms, cand_stats = evaluate(kappa, cand)
         if cand_terms.sum() >= terms.sum():
             theta, terms, stats = cand, cand_terms, cand_stats
-        kappa, terms = _kappa_block(kappa, terms, theta, stats, logp_total,
-                                    n_pix)
+        kappa, terms = _kappa_block(kappa, terms, theta, stats, n_pix)
         return kappa, theta, terms, stats
 
     kappa = np.ones(n_maps)
@@ -438,6 +449,6 @@ def load_weights_csv(path) -> tuple[list, np.ndarray]:
     if len(set(ids)) < len(ids):
         raise ValueError(f"malformed weights CSV {path}: an investigator id repeats")
     k = np.asarray(kappas)
-    if len(k) == 0 or (k <= 0).any() or not np.isfinite(k).all():
-        raise ValueError(f"malformed weights CSV {path}: kappa must be positive")
+    if len(k) == 0 or not (np.isfinite(k) & (k > 0)).all():
+        raise ValueError(f"malformed weights CSV {path}: kappa must be positive and finite")
     return ids, k
