@@ -7,9 +7,10 @@ JSON without ``config.output_dir``, the one entry that names the directory.
 Exits 0 when every file matches, and 1 naming each file that differs or is
 written on one side only. Where ``weights.csv`` differs, it also prints the
 largest relative kappa difference over the investigator ids both sides
-wrote, and where the manifest's ``weights.trace`` differs, the largest
-relative difference over the sweeps both traces hold, so a change that
-moves kappa can say by how much.
+wrote; where the manifest's ``weights.trace`` differs, the largest
+relative difference over the sweeps both traces hold; and where its
+``weights.log_posterior`` differs, the relative difference of the two, so
+a change that moves kappa or the fit's objective can say by how much.
 
     python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG
 """
@@ -103,12 +104,16 @@ def main(argv=None) -> int:
         move = largest_relative([was[i] for i in ids], [now[i] for i in ids])
         print(f"weights.csv: largest relative kappa difference {move:.3g} "
               f"over {len(ids)} shared ids")
-    traces = [side.get("manifest.json", {}).get("weights", {}).get("trace")
-              for side in (base, change)]
+    fits = [side.get("manifest.json", {}).get("weights", {}) for side in (base, change)]
+    traces = [fit.get("trace") for fit in fits]
     if None not in traces and traces[0] != traces[1]:
         print(f"manifest.json weights.trace: largest relative difference "
               f"{largest_relative(*traces):.3g} over {min(map(len, traces))} shared sweeps "
               f"(base {len(traces[0])}, change {len(traces[1])})")
+    posteriors = [fit.get("log_posterior") for fit in fits]
+    if None not in posteriors and posteriors[0] != posteriors[1]:
+        print(f"manifest.json weights.log_posterior: relative difference "
+              f"{largest_relative([posteriors[0]], [posteriors[1]]):.3g}")
     print(f"{len(base.keys() | change.keys())} files, {len(differ)} differ "
           "(manifest.json compared without config.output_dir)")
     return 1 if differ else 0

@@ -166,18 +166,16 @@ def pair_counts(a, b, n_classes: int) -> np.ndarray:
 
 def first_max(planes) -> np.ndarray:
     """u8 index of the first largest of C >= 2 same-shape planes, as np.argmax
-    over a leading class axis: a pairwise tree in which a pair keeps its lower
-    half's label unless the upper half's value is strictly larger."""
-    nodes = [(p, np.uint8(i)) for i, p in enumerate(planes)]    # (value, label)
-    while len(nodes) > 1:
-        merged = []
-        for (a, la), (b, lb) in zip(nodes[::2], nodes[1::2]):
-            upper = b > a
-            # every upper label exceeds every lower one: lb - la never wraps
-            merged.append((np.maximum(a, b) if len(nodes) > 2 else None,
-                           la + upper * (lb - la)))
-        nodes = merged + nodes[len(merged) * 2:]
-    return nodes[0][1]
+    over a leading class axis: a scan in which plane c takes the label only where
+    it is strictly larger than the maximum of the planes before it. That maximum
+    lives in one buffer, made by the first np.maximum and then reused as its
+    out=, so the planes themselves are never written."""
+    label = (planes[1] > planes[0]).astype(np.uint8)
+    best = None
+    for c in range(2, len(planes)):
+        best = np.maximum(planes[0] if best is None else best, planes[c - 1], out=best)
+        label += (planes[c] > best) * (np.uint8(c) - label)   # label < c: no wrap
+    return label
 
 
 def hard_classify(raster: ProbabilityRaster) -> LabelRaster:

@@ -14,9 +14,13 @@ found by block coordinate ascent, accelerated by SQUAREM:
               inversion). G and dG/du are tabulated once per sweep
               on a grid in u = log t and inverted by cubic Hermite
               interpolation; only the per-pixel multiplier lambda is then
-              solved for, by bracketed Newton. The table costs J * nodes
-              special-function calls instead of J * N * C per trial, and
-              the new theta is kept only if the exact joint does not fall
+              solved for, by bracketed Newton. The same nodes tabulate F
+              itself, a quintic Hermite in u from F, F' and F'', so the
+              sum of F at the new theta and at the old one comes from the
+              table too (exact logGamma only below it). The table costs
+              J * nodes special-function calls instead of J * N * C per
+              trial, and the new theta is kept only if its joint so read
+              is no lower than the old theta's
   kappa-step  per-investigator Newton iteration on u = log kappa,
               safeguarded by bisection within [log 1e-3, log 1e3]. Every
               gradient reads one shared scalar H(kappa) = sum theta
@@ -34,27 +38,32 @@ found by block coordinate ascent, accelerated by SQUAREM:
               kappa bracket, gets one sweep of its own: theta solved there,
               then the kappa-step (Varadhan & Roland 2008, Scand. J. Stat.
               35:335-353, step length S3). That jump sweep is kept only if
-              its exact joint is no lower than the joint at u2; otherwise
-              the ascent goes on from u2
+              its joint is no lower than the joint at u2; otherwise the
+              ascent goes on from u2
 
 Every kept sweep either maximizes or provably improves its blocks, or (a
 jump) ends no lower than the joint it replaces, so the joint
 log-posterior ascends monotonically and the iteration lands on a genuine
 local maximum: at convergence each kappa_j is the 1-D optimum against the
-final theta. The per-investigator terms at the current point are kept, so
-neither block recomputes them: they are exact after each theta evaluation
-and carried across the kappa step by the table's change, which the
-recorded trace and the ascent check then read. Point estimates are all
-the downstream fusion needs, which is why no sampler is involved.
+final theta. The joint is read from the tables alone, one scalar: each
+theta step reads it afresh from the theta table's F, the kappa step adds
+its table's change, and the recorded trace and the ascent check read
+that. Only the start and the end pass over the J * N * C logGamma terms;
+the end pass gives the reported log-posterior exactly, and the fit raises
+if the carried joint has drifted from it by more than the ascent check's
+1e-9 relative. Point estimates are all the downstream fusion needs, which
+is why no sampler is involved.
 
 Parallel sweeps. The special functions release the GIL, so each of a sweep's
 parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements on
-grids.map_on_cores: the joint terms by investigator, the H table by node,
-the theta-step's multiplier Newton by pixel. _WORKERS is grids.CORES, the
-cores of the CPU affinity. A row's result depends on that row alone, and
-each per-row reduction is an (a * b).sum(axis=(1, 2)), whose bits do not
-depend on the block size (einsum's do); the kappa Newton and acceptance
-on the interpolants run on the calling thread. So the fit is
+grids.map_on_cores: theta's stats and the exact joint terms by
+investigator, the H table by node, the theta-step's multiplier Newton and
+sums of F by pixel. _WORKERS is grids.CORES, the cores of the CPU
+affinity. A row's result depends on that row alone, and each per-row
+reduction is a sum over the row's own axes, whose bits do not
+depend on the block size (einsum's do), and the pixels' sums of F are
+totalled once the blocks are joined; the kappa Newton and acceptance on
+the interpolants run on the calling thread. So the fit is
 bit-identical for any worker count. Pool threads do not inherit
 np.errstate, so every errstate sits in a block's code.
 """
@@ -240,7 +249,9 @@ def _kappa_newton(kappa0, theta, stats, n_pix):
 
 
 def _theta_kkt(theta, kappa, lin):
-    """Exact theta block maximization through its KKT conditions.
+    """Exact theta block maximization through its KKT conditions; returns the
+    new theta with sum F at it and at the given theta, F(t) = sum_j
+    logGamma(kappa_j t).
 
     Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)] is strictly
     concave on the simplex, and its maximum solves G(theta_c) = lin_c -
@@ -252,6 +263,12 @@ def _theta_kkt(theta, kappa, lin):
     closes on lambda from one side; bisection backs up any step that
     leaves the bracket. Pixels leave the iteration once their Newton step
     is below 1e-13 relative.
+
+    The same nodes tabulate F, with dF/du = t G and d2F/du2 = t G + t/m
+    from the inversion's own arrays, and F between two nodes is their
+    quintic Hermite piece in u, found by arithmetic on the uniform grid;
+    elements below the table take exact gammaln. Each pixel block returns
+    its pixels' sums, so the totals do not depend on the blocks.
     """
     n_pix, n_cls = theta.shape
     n_maps = kappa.size
@@ -267,6 +284,16 @@ def _theta_kkt(theta, kappa, lin):
     c = 3.0 * np.diff(u) - 2.0 * b0 - b1
     d = b0 + b1 - 2.0 * np.diff(u)
     pole = g[0] + n_maps / t[0]
+    # quintic Hermite pieces of F(u): F = sum_i q_i s^i on node step h
+    h = -u[0] / (_THETA_NODES - 1)
+    big_f = gammaln(kt).sum(axis=0)
+    df, d2f = h * t * g, h * h * (t * g + t / m)
+    rise = big_f[1:] - big_f[:-1] - df[:-1] - 0.5 * d2f[:-1]
+    slope, bend = df[1:] - df[:-1] - d2f[:-1], d2f[1:] - d2f[:-1]
+    q = np.stack([big_f[:-1], df[:-1], 0.5 * d2f[:-1],
+                  10.0 * rise - 4.0 * slope + 0.5 * bend,
+                  -15.0 * rise + 7.0 * slope - bend,
+                  6.0 * rise - 3.0 * slope + 0.5 * bend], axis=-1)
 
     def inverse(y):
         """theta = G^-1(y) and d theta / dy, elementwise."""
@@ -279,10 +306,25 @@ def _theta_kkt(theta, kappa, lin):
         dth[below] = th[below] ** 2 / n_maps
         return th, dth
 
+    def f_sums(th):
+        """Per-pixel sums of F at th: the quintic on the table, exact below it."""
+        x = (np.log(th) - u[0]) / h
+        k = np.clip(x.astype(np.intp), 0, _THETA_NODES - 2)
+        s = x - k
+        p = q[k]
+        fh = p[..., 5]
+        for i in range(4, -1, -1):
+            fh = fh * s + p[..., i]
+        below = x < 0.0
+        if below.any():
+            fh[below] = gammaln(kappa[:, None] * th[below]).sum(axis=0)
+        return fh.sum(axis=1)
+
     g_flat = kappa @ psi(kappa / n_cls)               # G(1/C)
 
     def solve(rows):
-        """The multiplier Newton and theta for one block of pixels."""
+        """The multiplier Newton and theta for one block of pixels, with the
+        block's sums of F at the new theta and the given one."""
         lin_b = lin[rows]
         top = lin_b.max(axis=1)
         lo, hi = top - g[-1], top - g_flat
@@ -304,27 +346,29 @@ def _theta_kkt(theta, kappa, lin):
             if act.size == 0:
                 break
         th, _ = inverse(lin_b - lam[:, None])
-        return th / th.sum(axis=1, keepdims=True)
+        th /= th.sum(axis=1, keepdims=True)
+        return th, f_sums(th), f_sums(theta[rows])
 
-    return np.concatenate(_in_blocks(solve, n_pix, n_cls))
+    new, f_new, f_old = map(np.concatenate, zip(*_in_blocks(solve, n_pix, n_cls)))
+    return new, float(f_new.sum()), float(f_old.sum())
 
 
-def _kappa_block(kappa, terms, theta, stats, n_pix):
+def _kappa_block(kappa, theta, stats, n_pix):
     """kappa step with acceptance on the H table; returns the kept kappa
-    and terms.
+    and the joint's change.
 
     Investigator j's term moves by delta_j = n [logGamma(c) - logGamma(k)]
     - (L(log c) - L(log k)) + (c - k) stats_j + log(c / k) - (c - k) from
     k to its Newton kappa c, with L from the Newton's own table, so no
-    J * N * C pass is needed. j takes c only if delta_j >= 0, and its
-    term becomes terms_j + delta_j.
+    J * N * C pass is needed. j takes c only if delta_j >= 0, and the
+    joint moves by the sum of the kept delta_j.
     """
     cand, big_l = _kappa_newton(kappa, theta, stats, n_pix)
     delta = (n_pix * (gammaln(cand) - gammaln(kappa))
              - (big_l(np.log(cand)) - big_l(np.log(kappa)))
              + (cand - kappa) * stats + np.log(cand / kappa) - (cand - kappa))
     better = delta >= 0
-    return np.where(better, cand, kappa), np.where(better, terms + delta, terms)
+    return np.where(better, cand, kappa), float(delta[better].sum())
 
 
 def _squarem_point(u0, u1, u2):
@@ -364,32 +408,44 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     logp = np.log(stack)                      # strictly positive by raster contract
     logp_total = logp.sum(axis=(1, 2))        # per-investigator constant term
 
-    def evaluate(kappa, theta):
-        """Per-investigator joint terms at (kappa, theta), and theta's stats."""
-        def block(rows):
-            stats = (theta * logp[rows]).sum(axis=(1, 2))
-            return (_objective_all(kappa[rows], theta, stats, logp_total[rows],
-                                   n_pix), stats)
+    def stats_at(theta):
+        """Every investigator's sum of theta * log p."""
+        return np.concatenate(_in_blocks(
+            lambda rows: (theta * logp[rows]).sum(axis=(1, 2)), n_maps, theta.size))
 
-        parts = _in_blocks(block, n_maps, theta.size)
-        return tuple(map(np.concatenate, zip(*parts)))
+    def exact_joint(kappa, theta, stats):
+        """The joint log-posterior at (kappa, theta) by one J * N * C pass."""
+        return float(np.concatenate(_in_blocks(
+            lambda rows: _objective_all(kappa[rows], theta, stats[rows],
+                                        logp_total[rows], n_pix),
+            n_maps, theta.size)).sum())
 
-    def sweep(kappa, theta, terms, stats):
-        """One outer sweep: the theta block, kept if the exact joint does
-        not fall, then the kappa block."""
-        cand = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
-        cand_terms, cand_stats = evaluate(kappa, cand)
-        if cand_terms.sum() >= terms.sum():
-            theta, terms, stats = cand, cand_terms, cand_stats
-        kappa, terms = _kappa_block(kappa, terms, theta, stats, n_pix)
-        return kappa, theta, terms, stats
+    def joint(kappa, stats, f_sum):
+        """The joint at kappa for a theta with these stats and sum F."""
+        return float((n_pix * gammaln(kappa) + kappa * stats - logp_total
+                      + np.log(kappa) - kappa).sum()) - f_sum
+
+    def sweep(kappa, theta, stats, at_jump):
+        """One outer sweep: the theta block, kept if its joint on the theta
+        table is no lower than the given theta's (always at a jump), then
+        the kappa block; returns the kept point and its joint."""
+        cand, f_cand, f_held = _theta_kkt(
+            theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
+        cand_stats = stats_at(cand)
+        value, held = joint(kappa, cand_stats, f_cand), joint(kappa, stats, f_held)
+        if at_jump or value >= held:
+            theta, stats = cand, cand_stats
+        else:
+            value = held
+        kappa, gain = _kappa_block(kappa, theta, stats, n_pix)
+        return kappa, theta, stats, value + gain
 
     kappa = np.ones(n_maps)
     # start from the flat-prior posterior mean at unit kappa
     theta = ((1.0 + np.einsum("j,jnc->nc", kappa, stack))
              / (shape.n_classes + kappa.sum()))
-    terms, stats = evaluate(kappa, theta)     # always the terms at (kappa, theta)
-    current = float(terms.sum())
+    stats = stats_at(theta)
+    current = exact_joint(kappa, theta, stats)   # then carried on the tables
     trace = []
     cycle = [np.log(kappa)]                   # u0, u1, u2 of one SQUAREM step
     converged = False
@@ -400,17 +456,16 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         if len(cycle) == 3:
             jump, cycle = _squarem_point(*cycle), cycle[2:]
         if jump is None:
-            kappa, theta, terms, stats = sweep(kappa, theta, terms, stats)
+            kappa, theta, stats, new_val = sweep(kappa, theta, stats, False)
         else:
-            # no joint is known at the jump, so its theta is always taken;
-            # the sweep is kept only if it ends no lower than the joint at u2
-            cand = sweep(np.exp(jump), theta, np.full(n_maps, -np.inf), stats)
-            if not cand[2].sum() >= current:
+            # the jump's theta is always taken; the sweep is kept only if it
+            # ends no lower than the joint at u2
+            cand = sweep(np.exp(jump), theta, stats, True)
+            if not cand[3] >= current:
                 trace.append(current)           # the ascent goes on from u2
                 continue
-            kappa, theta, terms, stats = cand
+            kappa, theta, stats, new_val = cand
             cycle = []                          # its end is the next u0
-        new_val = float(terms.sum())
         if not new_val >= current - 1e-9 * max(1.0, abs(current)):
             raise RuntimeError("log-posterior decreased during ascent: "
                                f"{current!r} -> {new_val!r} at iteration {it}")
@@ -422,7 +477,11 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
             converged = True
             break
 
-    return WeightEstimate(kappa=kappa, log_posterior=float(current),
+    exact = exact_joint(kappa, theta, stats)
+    if not abs(current - exact) <= 1e-9 * max(1.0, abs(exact)):
+        raise RuntimeError("carried log-posterior drifted from the exact joint: "
+                           f"{current!r} against {exact!r}")
+    return WeightEstimate(kappa=kappa, log_posterior=exact,
                           iterations=it, converged=converged, trace=trace)
 
 

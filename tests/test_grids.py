@@ -236,11 +236,12 @@ def test_hard_classify_matches_argmax(seed):
        st.integers(min_value=2, max_value=12),
        st.sampled_from([np.float64, np.int64, np.uint8]))
 def test_first_max_is_argmax_over_the_planes_with_ties(seed, c, dtype):
-    # values from {0, 0.5, 1} (integers: {0, 1, 2}) tie often, at every level
-    # of the tree, for odd and even plane counts
+    # values from {0, 0.5, 1} (integers: {0, 1, 2}) tie often, at every step
+    # of the scan, for odd and even plane counts
     rng = np.random.default_rng(seed)
     steps = rng.integers(0, 3, size=(c, 5, 7))
     planes = (steps / 2 if dtype is np.float64 else steps).astype(dtype)
+    planes.flags.writeable = False                # as a raster's planes: never written
     got = first_max(planes)
     assert got.dtype == np.uint8
     assert (got == planes.argmax(axis=0)).all()
