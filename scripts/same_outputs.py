@@ -1,8 +1,11 @@
-"""Do two source trees write the same pipeline outputs, byte for byte?
+"""Do two source trees write the same pipeline or scenario outputs, byte for byte?
 
 Runs one pipeline config under each tree's ``mapfuse`` (a fresh interpreter
 with only that tree on PYTHONPATH), each into its own temporary output
-directory, and hashes every file written. ``manifest.json`` is compared as
+directory, and hashes every file written. A scenario JSON (a file with a
+``scene`` key) is run through ``mapfuse simulate`` instead, so the truth
+scene, every investigator raster, their headers and index.json are
+compared. ``manifest.json`` is compared as
 JSON without ``config.output_dir``, the one entry that names the directory.
 Exits 0 when every file matches, and 1 naming each file that differs or is
 written on one side only. Where ``weights.csv`` differs, it also prints the
@@ -12,7 +15,7 @@ relative difference over the sweeps both traces hold; and where its
 ``weights.log_posterior`` differs, the relative difference of the two, so
 a change that moves kappa or the fit's objective can say by how much.
 
-    python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG
+    python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG_OR_SCENARIO
 """
 
 import argparse
@@ -31,19 +34,25 @@ import mapfuse
 from mapfuse.cli import main
 if Path(sys.argv[1]) not in Path(mapfuse.__file__).resolve().parents:
     sys.exit(f"mapfuse imported from {mapfuse.__file__}, not from {sys.argv[1]}")
-sys.exit(main(["pipeline", sys.argv[2]]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
 def run(src: Path, config: dict, out: Path) -> None:
-    """Run the pipeline of the tree ``src`` on ``config``, writing into ``out``."""
+    """Run the tree ``src`` on ``config``, writing into ``out``: ``mapfuse
+    simulate`` for a scenario (a ``scene`` key), ``mapfuse pipeline`` otherwise."""
     cfg = out.with_suffix(".json")
-    cfg.write_text(json.dumps({**config, "output_dir": str(out)}))
+    if "scene" in config:
+        cfg.write_text(json.dumps(config))
+        argv = ["simulate", str(cfg), "-o", str(out)]
+    else:
+        cfg.write_text(json.dumps({**config, "output_dir": str(out)}))
+        argv = ["pipeline", str(cfg)]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(cfg)], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], env=env,
                           stdout=subprocess.DEVNULL)
     if done.returncode:
-        raise RuntimeError(f"the pipeline under {src} exited {done.returncode}")
+        raise RuntimeError(f"mapfuse {argv[0]} under {src} exited {done.returncode}")
 
 
 def outputs(out: Path) -> dict:
@@ -78,7 +87,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base_src", help="source tree holding the mapfuse package")
     ap.add_argument("change_src", help="the other source tree")
-    ap.add_argument("config", help="pipeline config JSON")
+    ap.add_argument("config", help="pipeline config JSON, or a scenario JSON")
     args = ap.parse_args(argv)
     config = json.loads(Path(args.config).read_text())
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
@@ -114,8 +123,9 @@ def main(argv=None) -> int:
     if None not in posteriors and posteriors[0] != posteriors[1]:
         print(f"manifest.json weights.log_posterior: relative difference "
               f"{largest_relative([posteriors[0]], [posteriors[1]]):.3g}")
-    print(f"{len(base.keys() | change.keys())} files, {len(differ)} differ "
-          "(manifest.json compared without config.output_dir)")
+    note = (" (manifest.json compared without config.output_dir)"
+            if "manifest.json" in base.keys() | change.keys() else "")
+    print(f"{len(base.keys() | change.keys())} files, {len(differ)} differ{note}")
     return 1 if differ else 0
 
 

@@ -6,12 +6,19 @@ coherent label scene (contiguous organic patches, exact class quotas) and
 any number of synthetic investigators, each corrupting the truth at a
 planted noise rate and emitting probability vectors of planted sharpness.
 
-Scene growth is a seeded random-priority flood fill: blob seed pixels are
-planted, then a priority heap grows each blob outward one pixel at a
-time, capped by per-class pixel quotas. Frontiers that stall (a blob
-walled in by neighbors after its class hit quota elsewhere) leave
-unassigned pockets; a repair pass hands those to the nearest class that
-still has quota, keeping class fractions exact and patches contiguous.
+Scene growth is a seeded random-priority flood fill (invasion-percolation
+order): blob seed pixels are planted, then a priority heap grows each
+blob outward one pixel at a time, capped by per-class pixel quotas. A
+heap entry is one int, (m << bits) | tick, where the push's draw random()
+is m * 2**-53 and a seed's m is -1; ticks are unique, so entries pop in
+(priority, tick) order. Draws come from rng.random(k) in blocks, used in
+push order: the same doubles as one scalar draw per push. Frontiers that
+stall (a blob walled in by neighbors after its class hit quota elsewhere)
+leave unassigned pockets; a repair pass hands those, nearest first, to
+the nearest class that still has quota, keeping class fractions exact
+(a pocket walled in by full classes becomes a patch of its own). Quotas
+only close classes, so holes are assigned in runs, each ending at the
+first hole whose pick would overfill its class: at most one run per class.
 
 Investigator corruption: per pixel, with probability noise_rate the true
 label is redrawn from the confusion kernel row of the true class (the
@@ -53,6 +60,9 @@ class SceneSpec:
             raise ValueError(f"class_mix sums to {mix.sum()}, expected 1")
         if self.n_blobs < self.shape.n_classes:
             raise ValueError("need at least one blob per class")
+        if self.n_blobs > self.shape.n_pixels:
+            raise ValueError(f"n_blobs {self.n_blobs} exceeds the grid's "
+                             f"{self.shape.n_pixels} pixels")
         object.__setattr__(self, "class_mix", tuple(float(f) for f in mix))
 
 
@@ -102,16 +112,7 @@ def style_kernel(n_classes: int, style: int) -> np.ndarray:
     return k
 
 
-def _neighbors(px: int, width: int, height: int):
-    r, c = divmod(px, width)
-    if r > 0:
-        yield px - width
-    if r + 1 < height:
-        yield px + width
-    if c > 0:
-        yield px - 1
-    if c + 1 < width:
-        yield px + 1
+_DRAWS = 1 << 14         # frontier priorities per rng.random call
 
 
 def _quotas(mix, n_pixels: int) -> np.ndarray:
@@ -144,40 +145,51 @@ def generate_scene(spec: SceneSpec) -> LabelRaster:
     rng.shuffle(blob_classes)
     seeds = rng.choice(n, size=spec.n_blobs, replace=False)
 
-    labels = np.full(n, -1, dtype=np.int64)
-    remaining = quotas.copy()
-    heap = []
-    tick = 0
-    # seeds get priority below any random frontier so each claims its own pixel
-    for px, cls in zip(seeds, blob_classes):
-        heapq.heappush(heap, (-1.0, tick, int(px), int(cls)))
-        tick += 1
+    # entry t grows class owner[t] into pixel[t]
+    bits = (spec.n_blobs + 4 * n).bit_length()
+    mask = (1 << bits) - 1
+    pixel, owner = seeds.tolist(), blob_classes.tolist()
+    heap = [(-1 << bits) | t for t in range(spec.n_blobs)]
+    labels, remaining, draws = [-1] * n, quotas.tolist(), []
     while heap:
-        _, _, px, cls = heapq.heappop(heap)
-        if labels[px] != -1 or remaining[cls] == 0:
+        t = heapq.heappop(heap) & mask
+        px, cls = pixel[t], owner[t]
+        if labels[px] != -1 or not remaining[cls]:
             continue
         labels[px] = cls
         remaining[cls] -= 1
-        for nb in _neighbors(px, w, h):
+        c = px % w
+        # rook neighbours; one off the grid is px itself, which is labelled
+        for nb in (px - w if px >= w else px, px + w if px < n - w else px,
+                   px - 1 if c else px, px + 1 if c < w - 1 else px):
             if labels[nb] == -1:
-                heapq.heappush(heap, (rng.random(), tick, nb, cls))
-                tick += 1
+                if not draws:
+                    draws = (rng.random(_DRAWS) * 2.0**53).astype(np.int64).tolist()[::-1]
+                heapq.heappush(heap, (draws.pop() << bits) | len(pixel))
+                pixel.append(nb)
+                owner.append(cls)
 
+    labels, remaining = np.array(labels), np.array(remaining)
     holes = np.flatnonzero(labels == -1)
     if holes.size:
-        # stranded pockets: give each to the nearest class with leftover quota
+        # stranded pockets, nearest first, each to its nearest class with quota left
         grid = labels.reshape(h, w)
         open_classes = np.flatnonzero(remaining > 0)
         dist = np.stack([distance_transform_edt(grid != c).ravel()[holes]
                          for c in open_classes])
-        for i in np.argsort(dist.min(axis=0), kind="stable"):
-            choices = np.argsort(dist[:, i], kind="stable")
-            for ch in choices:
-                cls = open_classes[ch]
-                if remaining[cls] > 0:
-                    labels[holes[i]] = cls
-                    remaining[cls] -= 1
-                    break
+        order = np.argsort(dist.min(axis=0), kind="stable")
+        holes = holes[order]
+        rank = open_classes[np.argsort(dist[:, order], axis=0, kind="stable")]
+        done = 0
+        while done < holes.size:
+            left = rank[:, done:]
+            pick = left[(remaining[left] > 0).argmax(axis=0), np.arange(left.shape[1])]
+            seen = np.cumsum(pick[:, None] == np.arange(remaining.size), axis=0)
+            over = seen[np.arange(pick.size), pick] > remaining[pick]
+            run = over.argmax() if over.any() else pick.size
+            labels[holes[done:done + run]] = pick[:run]
+            remaining -= np.bincount(pick[:run], minlength=remaining.size)
+            done += run
     if (labels < 0).any() or remaining.any():
         raise RuntimeError("scene repair left pixels unlabeled or quotas unmet")
     return LabelRaster(shape, labels.reshape(h, w))

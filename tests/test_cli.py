@@ -401,6 +401,22 @@ def test_scenario_id_naming_another_output_exits_2(work, capsys, tmp_path,
     assert not out.exists()
 
 
+def test_scenario_with_more_blobs_than_pixels_exits_2(work, capsys, tmp_path):
+    """A 4x4 scene cannot plant 20 distinct blob seeds: the scenario is
+    refused with one line naming n_blobs and the pixel count, before any
+    raster is drawn."""
+    doc = json.loads((work / "scenario.json").read_text())
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(_scene(doc, width=4, height=4, n_blobs=20)))
+    out = tmp_path / "out"
+    rc = main(["simulate", str(target), "-o", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2, err
+    assert err == [f"error: malformed scenario {target}: "
+                   "n_blobs 20 exceeds the grid's 16 pixels"], err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1(work, capsys, tmp_path, monkeypatch):
     # no input path raises KeyError, so one is a program fault, not bad input
     def lookup_bug(args):

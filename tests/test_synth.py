@@ -1,13 +1,18 @@
 """Synthetic scenes and planted-reliability investigators."""
 
+import hashlib
+import heapq
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import distance_transform_edt
 
 from mapfuse.grids import GridShape, hard_classify
 from mapfuse.io import load_label_raster, load_probability_raster
-from mapfuse.synth import (InvestigatorSpec, SceneSpec, generate_investigator,
+from mapfuse.synth import (InvestigatorSpec, SceneSpec, _quotas, generate_investigator,
                            generate_scene, load_scenario,
                            materialize_scenario, style_kernel,
                            two_style_scenario, uniform_kernel)
@@ -70,6 +75,132 @@ def test_scene_spec_validation():
         SceneSpec(shape=shape, n_blobs=6, class_mix=(0.5, 0.3, 0.3), seed=0)
     with pytest.raises(ValueError, match="one blob per class"):
         SceneSpec(shape=shape, n_blobs=2, class_mix=(1 / 3,) * 3, seed=0)
+    with pytest.raises(ValueError, match="n_blobs 65 exceeds the grid's 64 pixels"):
+        SceneSpec(shape=shape, n_blobs=65, class_mix=(1 / 3,) * 3, seed=0)
+    # one blob on every pixel is a valid scene
+    assert generate_scene(SceneSpec(shape=shape, n_blobs=64,
+                                    class_mix=(0.5, 0.25, 0.25), seed=0)).values.size == 64
+
+
+# Pinned bytes of scenes and one investigator drawn on the first scene, as
+# the random-priority flood first wrote them: the 256-pixel-square panel-c9
+# scene (several blocks of draws, 8,723 repaired holes), a skewed 40x32 mix
+# (153 holes) and a tiny 2-class grid (9 holes).
+GOLDEN_SCENES = [
+    ((256, 256, 4), 24, (0.25,) * 4, 10_001,
+     "ffe2ab7999b83522467a4843136e0210d6f08929e305b2e86261d4da98ca5d29"),
+    ((40, 32, 4), 12, (0.55, 0.25, 0.15, 0.05), 3,
+     "a57a8c76415cfe3ae036b95f537f7bc49614314155bf1973e080a856b29d7f10"),
+    ((7, 5, 2), 3, (0.7, 0.3), 8,
+     "1496058da5fd05c0cad6770391d1ffe49e851bcc2ef6f15b78db22d21464d4b4"),
+]
+GOLDEN_INVESTIGATOR = "d686e988e9cfd024381aaeaaee613fb2d708fe21f1d624c5002aa73a367e2752"
+
+
+def _golden_spec(dims, n_blobs, mix, seed):
+    return SceneSpec(shape=GridShape(*dims), n_blobs=n_blobs, class_mix=mix, seed=seed)
+
+
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dims,n_blobs,mix,seed,digest", GOLDEN_SCENES,
+                         ids=["panel-c9", "skewed-40x32", "tiny-2-class"])
+def test_scene_bytes_are_pinned(dims, n_blobs, mix, seed, digest):
+    values = generate_scene(_golden_spec(dims, n_blobs, mix, seed)).values
+    assert values.dtype == np.uint8 and values.shape == dims[1::-1]
+    assert _sha256(values) == digest
+
+
+def test_investigator_bytes_are_pinned():
+    truth = generate_scene(_golden_spec(*GOLDEN_SCENES[0][:4]))
+    raster = generate_investigator(truth, InvestigatorSpec(
+        noise_rate=0.2, confusion_kernel=style_kernel(4, 1), softness=8.0, seed=100_001))
+    assert raster.values.dtype == np.float64 and raster.values.shape == (4, 256, 256)
+    assert _sha256(raster.values) == GOLDEN_INVESTIGATOR
+
+
+def _neighbors(px: int, width: int, height: int):
+    r, c = divmod(px, width)
+    if r > 0:
+        yield px - width
+    if r + 1 < height:
+        yield px + width
+    if c > 0:
+        yield px - 1
+    if c + 1 < width:
+        yield px + 1
+
+
+def _reference_scene(spec: SceneSpec) -> np.ndarray:
+    """The flood and repair as first written: a (priority, tick, pixel,
+    class) tuple heap with one scalar draw per push, and one argsort per
+    repaired hole."""
+    shape = spec.shape
+    h, w = shape.height, shape.width
+    n = shape.n_pixels
+    quotas = _quotas(spec.class_mix, n)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+
+    blob_classes = np.concatenate([
+        np.arange(shape.n_classes),
+        rng.choice(shape.n_classes, size=spec.n_blobs - shape.n_classes,
+                   p=np.asarray(spec.class_mix)),
+    ])
+    rng.shuffle(blob_classes)
+    seeds = rng.choice(n, size=spec.n_blobs, replace=False)
+
+    labels = np.full(n, -1, dtype=np.int64)
+    remaining = quotas.copy()
+    heap = []
+    tick = 0
+    # seeds get priority below any random frontier so each claims its own pixel
+    for px, cls in zip(seeds, blob_classes):
+        heapq.heappush(heap, (-1.0, tick, int(px), int(cls)))
+        tick += 1
+    while heap:
+        _, _, px, cls = heapq.heappop(heap)
+        if labels[px] != -1 or remaining[cls] == 0:
+            continue
+        labels[px] = cls
+        remaining[cls] -= 1
+        for nb in _neighbors(px, w, h):
+            if labels[nb] == -1:
+                heapq.heappush(heap, (rng.random(), tick, nb, cls))
+                tick += 1
+
+    holes = np.flatnonzero(labels == -1)
+    if holes.size:
+        # stranded pockets: give each to the nearest class with leftover quota
+        grid = labels.reshape(h, w)
+        open_classes = np.flatnonzero(remaining > 0)
+        dist = np.stack([distance_transform_edt(grid != c).ravel()[holes]
+                         for c in open_classes])
+        for i in np.argsort(dist.min(axis=0), kind="stable"):
+            choices = np.argsort(dist[:, i], kind="stable")
+            for ch in choices:
+                cls = open_classes[ch]
+                if remaining[cls] > 0:
+                    labels[holes[i]] = cls
+                    remaining[cls] -= 1
+                    break
+    if (labels < 0).any() or remaining.any():
+        raise RuntimeError("scene repair left pixels unlabeled or quotas unmet")
+    return labels.reshape(h, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(4, 40), height=st.integers(4, 40),
+       weights=st.lists(st.integers(1, 9), min_size=2, max_size=6),
+       extra_blobs=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_scene_matches_the_reference_flood(width, height, weights, extra_blobs, seed):
+    mix = tuple(np.asarray(weights) / sum(weights))
+    assume(min(mix) * width * height >= 1)
+    n_blobs = min(len(weights) + extra_blobs, width * height)
+    spec = SceneSpec(shape=GridShape(width, height, len(weights)), n_blobs=n_blobs,
+                     class_mix=mix, seed=seed)
+    assert (generate_scene(spec).values == _reference_scene(spec)).all()
 
 
 # ---------------------------------------------------------- investigators
