@@ -14,6 +14,9 @@ wrote; where the manifest's ``weights.trace`` differs, the largest
 relative difference over the sweeps both traces hold; and where its
 ``weights.log_posterior`` differs, the relative difference of the two, so
 a change that moves kappa or the fit's objective can say by how much.
+Where a ``*_prob`` raster payload differs, it prints how many f32 samples
+differ and the largest absolute difference; where a ``*_label`` payload
+differs, how many pixels differ.
 
     python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG_OR_SCENARIO
 """
@@ -26,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # the child refuses a mapfuse imported from anywhere but the tree it was given
 CHILD = """import sys
@@ -78,6 +83,26 @@ def kappas(out: Path) -> dict:
     return {name: float(kappa) for name, kappa in rows}
 
 
+def raster_difference(name: str, base: Path, change: Path):
+    """How the payload ``name`` differs between the two output directories:
+    differing f32 samples and the largest absolute difference for a
+    ``*_prob`` raster, differing pixels for a ``*_label`` one; None for any
+    other file."""
+    kinds = {"_prob": ("<f4", "f32 samples"), "_label": ("u1", "pixels")}
+    suffix = next((k for k in kinds if name.endswith(k)), None)
+    if suffix is None:
+        return None
+    dtype, unit = kinds[suffix]
+    was, now = (np.fromfile(side / name, dtype=dtype) for side in (base, change))
+    if was.size != now.size:
+        return f"{was.size} against {now.size} {unit}"
+    text = f"{int((was != now).sum())} of {was.size} {unit} differ"
+    if suffix == "_prob":
+        gap = np.abs(was.astype(np.float64) - now.astype(np.float64)).max()
+        text += f", largest absolute difference {gap:.3g}"
+    return text
+
+
 def largest_relative(base, change) -> float:
     """max |c - b| / |b| over the paired values of the two sides."""
     return max((abs(c - b) / abs(b) for b, c in zip(base, change)), default=0.0)
@@ -101,12 +126,16 @@ def main(argv=None) -> int:
                 return 2
             sides[side] = outputs(out)
             weights[side] = kappas(out)
-    base, change = sides["base"], sides["change"]
-    differ = [n for n in sorted(base.keys() | change.keys()) if base.get(n) != change.get(n)]
-    for name in differ:
-        where = ("differs" if name in base and name in change
-                 else "only under base" if name in base else "only under change")
-        print(f"{where}: {name}")
+        base, change = sides["base"], sides["change"]
+        differ = [n for n in sorted(base.keys() | change.keys())
+                  if base.get(n) != change.get(n)]
+        for name in differ:
+            where = ("differs" if name in base and name in change
+                     else "only under base" if name in base else "only under change")
+            print(f"{where}: {name}")
+            if where == "differs" and (detail := raster_difference(
+                    name, Path(tmp) / "base", Path(tmp) / "change")):
+                print(f"  {detail}")
     if "weights.csv" in differ and weights["base"] and weights["change"]:
         was, now = weights["base"], weights["change"]
         ids = sorted(was.keys() & now.keys())

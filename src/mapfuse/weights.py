@@ -14,22 +14,26 @@ found by block coordinate ascent, accelerated by SQUAREM:
               inversion). G and dG/du are tabulated once per sweep
               on a grid in u = log t and inverted by cubic Hermite
               interpolation; only the per-pixel multiplier lambda is then
-              solved for, by bracketed Newton. The same nodes tabulate F
-              itself, a quintic Hermite in u from F, F' and F'', so the
-              sum of F at the new theta and at the old one comes from the
-              table too (exact logGamma only below it). The table costs
-              J * nodes special-function calls instead of J * N * C per
-              trial, and the new theta is kept only if its joint so read
-              is no lower than the old theta's
+              solved for, by bracketed Newton from the last sweep's
+              lambda, each element's table interval carried between its
+              iterations. The same nodes tabulate F itself, a quintic
+              Hermite in u from F, F' and F'', so the sum of F at the new
+              theta and at the old one comes from the table too (exact
+              logGamma only below it). The table costs J * nodes
+              special-function calls instead of J * N * C per trial, and
+              the new theta is kept only if its joint so read is no lower
+              than the old theta's
   kappa-step  per-investigator Newton iteration on u = log kappa,
               safeguarded by bisection within [log 1e-3, log 1e3]. Every
               gradient reads one shared scalar H(kappa) = sum theta
-              psi(kappa theta), so each step tabulates H once as a
-              Chebyshev interpolant in u, widened where a root lies outside
-              it, and every Newton runs on that: about 33 N * C special-
-              function calls per step instead of J * N * C per iteration.
-              A new kappa_j is kept only if its logGamma term does not
-              fall, by a change read from the same table's integral
+              psi(kappa theta), so each step tabulates H once as a Chebyshev
+              interpolant on [min u - m, max u + m], m 4 times the last
+              step's largest move in u (at least 0.01; 2 at the first step)
+              and widened fourfold on a side where a root lies outside it,
+              and every Newton runs on that: 17 to 65 N * C special-function
+              calls per step (17 once kappa settles) instead of J * N * C
+              per iteration. A new kappa_j is kept only if its logGamma term
+              does not fall, by a change read from the same table's integral
   SQUAREM     one sweep (theta-step, then kappa-step) is a fixed-point map
               on u = log kappa that converges at a steady linear rate.
               After two sweeps u1 = F(u0) and u2 = F(u1), with r = u1 - u0,
@@ -48,11 +52,13 @@ local maximum: at convergence each kappa_j is the 1-D optimum against the
 final theta. The joint is read from the tables alone, one scalar: each
 theta step reads it afresh from the theta table's F, the kappa step adds
 its table's change, and the recorded trace and the ascent check read
-that. Only the start and the end pass over the J * N * C logGamma terms;
-the end pass gives the reported log-posterior exactly, and the fit raises
-if the carried joint has drifted from it by more than the ascent check's
-1e-9 relative. Point estimates are all the downstream fusion needs, which
-is why no sampler is involved.
+that. At the unit-kappa start every map's sum of logGamma(kappa_j theta)
+is the same, so the start joint takes one N * C pass, and only the end
+passes over the J * N * C logGamma terms: it gives the reported
+log-posterior exactly, and the fit raises if the carried joint has
+drifted from it by more than the ascent check's 1e-9 relative. Point
+estimates are all the downstream fusion needs, which is why no sampler
+is involved.
 
 Parallel sweeps. The special functions release the GIL, so each of a sweep's
 parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements on
@@ -201,25 +207,26 @@ def _series(c, lo, hi):
     return at
 
 
-def _kappa_newton(kappa0, theta, stats, n_pix):
+def _kappa_newton(kappa0, theta, stats, n_pix, margin):
     """Maximize every investigator's 1-D kappa objective on one table.
 
     Investigator j's gradient in u = log kappa is kappa * (n psi(kappa) -
     H(u) + stats_j + 1/kappa - 1), where only the scalar stats_j is its
-    own, so H is tabulated once (_psi_sum) on [min u - 2, max u + 2],
-    clipped to the kappa bracket. A side where some gradient does not
-    change sign is widened to the bracket and H tabulated again. Newton
-    steps on u then run on the interpolant, whose derivative gives the
-    exact curvature; the gradient's sign change brackets each maximum, and
-    a step leaving its bracket (or taken where the curvature is not
+    own, so H is tabulated once (_psi_sum) on [min u - margin, max u +
+    margin], clipped to the kappa bracket. A side where some gradient does
+    not change sign has its margin widened fourfold and H tabulated again.
+    Newton steps on u then run on the interpolant, whose derivative gives
+    the exact curvature; the gradient's sign change brackets each maximum,
+    and a step leaving its bracket (or taken where the curvature is not
     negative) falls back to bisection for that investigator only. An
     investigator whose step falls below 1e-12 leaves the iteration.
     Returns the new kappa and the final table's L, whose interval holds
     both every kappa0 and every new kappa.
     """
     u = np.clip(np.log(kappa0), *_LOG_BRACKET)
-    ends = np.clip([u.min() - 2.0, u.max() + 2.0], *_LOG_BRACKET)
+    margins = np.array([-margin, margin])
     while True:
+        ends = np.clip([u.min(), u.max()] + margins, *_LOG_BRACKET)
         h, dh, big_l = _psi_sum(theta, *ends)
         k = np.exp(ends)[:, None]
         du = k * (n_pix * psi(k) - h(ends)[:, None] + stats + 1.0 / k - 1.0)
@@ -227,7 +234,7 @@ def _kappa_newton(kappa0, theta, stats, n_pix):
         short = np.array([(du[0] <= 0).any(), (du[1] > 0).any()]) & (ends != _LOG_BRACKET)
         if not short.any():
             break
-        ends = np.where(short, _LOG_BRACKET, ends)
+        margins = np.where(short, 4.0 * margins, margins)
     lo, hi = np.full(u.shape, ends[0]), np.full(u.shape, ends[1])
     act = np.arange(u.size)
     for _ in range(100):
@@ -248,10 +255,21 @@ def _kappa_newton(kappa0, theta, stats, n_pix):
     return np.clip(np.exp(u), KAPPA_MIN, KAPPA_MAX), big_l
 
 
-def _theta_kkt(theta, kappa, lin):
+def _interval(g, y, k):
+    """searchsorted(g, y) - 1 clipped to [0, g.size - 2], the k with g[k] < y
+    <= g[k + 1] up to the ends of the increasing g: the guess k where it
+    holds, searched again only where it does not."""
+    wrong = ((k > 0) & (y <= g[k])) | ((k < g.size - 2) & (y > g[k + 1]))
+    if wrong.any():
+        k = k.copy()
+        k[wrong] = np.clip(np.searchsorted(g, y[wrong]) - 1, 0, g.size - 2)
+    return k
+
+
+def _theta_kkt(theta, kappa, lin, lam0):
     """Exact theta block maximization through its KKT conditions; returns the
     new theta with sum F at it and at the given theta, F(t) = sum_j
-    logGamma(kappa_j t).
+    logGamma(kappa_j t), and the per-pixel multipliers.
 
     Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)] is strictly
     concave on the simplex, and its maximum solves G(theta_c) = lin_c -
@@ -259,10 +277,13 @@ def _theta_kkt(theta, kappa, lin):
     u = log t over [log min(theta) - 1, 0] (floored at 1e-12); below the
     table G is extended by its pole, G(t) ~ -J/t + const. The sum of
     G^-1(lin_c - lambda) is decreasing and convex in lambda, so Newton
-    from the lower end of the bracket [max lin - G(1), max lin - G(1/C)]
-    closes on lambda from one side; bisection backs up any step that
-    leaves the bracket. Pixels leave the iteration once their Newton step
-    is below 1e-13 relative.
+    from lam0 clipped into the bracket [max lin - G(1), max lin - G(1/C)]
+    (-inf: its lower end) closes on lambda from the left, a start right of
+    it stepping once to its left; bisection backs up any step that leaves
+    the bracket. Pixels leave the iteration once their Newton step is
+    below 1e-13 relative. Each element's table interval is carried from
+    one iteration to the next and searched again (_interval) only where
+    its value has left it.
 
     The same nodes tabulate F, with dF/du = t G and d2F/du2 = t G + t/m
     from the inversion's own arrays, and F between two nodes is their
@@ -295,16 +316,17 @@ def _theta_kkt(theta, kappa, lin):
                   -15.0 * rise + 7.0 * slope - bend,
                   6.0 * rise - 3.0 * slope + 0.5 * bend], axis=-1)
 
-    def inverse(y):
-        """theta = G^-1(y) and d theta / dy, elementwise."""
-        k = np.clip(np.searchsorted(g, y) - 1, 0, _THETA_NODES - 2)
+    def inverse(y, k):
+        """theta = G^-1(y), d theta / dy and the table interval of y,
+        elementwise, from a guess k of that interval."""
+        k = _interval(g, y, k)
         s = (y - g[k]) / dg[k]
         th = np.exp(u[k] + s * (b0[k] + s * (c[k] + s * d[k])))
         dth = th * (b0[k] + s * (2.0 * c[k] + 3.0 * s * d[k])) / dg[k]
         below = y < g[0]
         th[below] = n_maps / (pole - y[below])
         dth[below] = th[below] ** 2 / n_maps
-        return th, dth
+        return th, dth, k
 
     def f_sums(th):
         """Per-pixel sums of F at th: the quintic on the table, exact below it."""
@@ -328,11 +350,12 @@ def _theta_kkt(theta, kappa, lin):
         lin_b = lin[rows]
         top = lin_b.max(axis=1)
         lo, hi = top - g[-1], top - g_flat
-        lam = lo.copy()
+        lam = np.clip(lam0[rows], lo, hi)
+        k = np.zeros(lin_b.shape, dtype=np.intp)
         act = np.arange(lin_b.shape[0])
         for _ in range(100):
             la = lam[act]
-            th, dth = inverse(lin_b[act] - la[:, None])
+            th, dth, k[act] = inverse(lin_b[act] - la[:, None], k[act])
             f = th.sum(axis=1) - 1.0
             lo[act] = np.where(f > 0, la, lo[act])
             hi[act] = np.where(f < 0, la, hi[act])
@@ -345,15 +368,15 @@ def _theta_kkt(theta, kappa, lin):
             act = act[~done]
             if act.size == 0:
                 break
-        th, _ = inverse(lin_b - lam[:, None])
+        th, *_ = inverse(lin_b - lam[:, None], k)
         th /= th.sum(axis=1, keepdims=True)
-        return th, f_sums(th), f_sums(theta[rows])
+        return th, f_sums(th), f_sums(theta[rows]), lam
 
-    new, f_new, f_old = map(np.concatenate, zip(*_in_blocks(solve, n_pix, n_cls)))
-    return new, float(f_new.sum()), float(f_old.sum())
+    new, f_new, f_old, lam = map(np.concatenate, zip(*_in_blocks(solve, n_pix, n_cls)))
+    return new, float(f_new.sum()), float(f_old.sum()), lam
 
 
-def _kappa_block(kappa, theta, stats, n_pix):
+def _kappa_block(kappa, theta, stats, n_pix, margin):
     """kappa step with acceptance on the H table; returns the kept kappa
     and the joint's change.
 
@@ -363,7 +386,7 @@ def _kappa_block(kappa, theta, stats, n_pix):
     J * N * C pass is needed. j takes c only if delta_j >= 0, and the
     joint moves by the sum of the kept delta_j.
     """
-    cand, big_l = _kappa_newton(kappa, theta, stats, n_pix)
+    cand, big_l = _kappa_newton(kappa, theta, stats, n_pix, margin)
     delta = (n_pix * (gammaln(cand) - gammaln(kappa))
              - (big_l(np.log(cand)) - big_l(np.log(kappa)))
              + (cand - kappa) * stats + np.log(cand / kappa) - (cand - kappa))
@@ -425,27 +448,33 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         return float((n_pix * gammaln(kappa) + kappa * stats - logp_total
                       + np.log(kappa) - kappa).sum()) - f_sum
 
+    lam, margin = np.full(n_pix, -np.inf), 2.0   # each sweep's warm starts
+
     def sweep(kappa, theta, stats, at_jump):
         """One outer sweep: the theta block, kept if its joint on the theta
         table is no lower than the given theta's (always at a jump), then
-        the kappa block; returns the kept point and its joint."""
-        cand, f_cand, f_held = _theta_kkt(
-            theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
+        the kappa block; returns the kept point and its joint, and leaves
+        the multipliers and the kappa move's margin for the next sweep."""
+        nonlocal lam, margin
+        cand, f_cand, f_held, lam = _theta_kkt(
+            theta, kappa, np.einsum("j,jnc->nc", kappa, logp), lam)
         cand_stats = stats_at(cand)
         value, held = joint(kappa, cand_stats, f_cand), joint(kappa, stats, f_held)
         if at_jump or value >= held:
             theta, stats = cand, cand_stats
         else:
             value = held
-        kappa, gain = _kappa_block(kappa, theta, stats, n_pix)
-        return kappa, theta, stats, value + gain
+        new, gain = _kappa_block(kappa, theta, stats, n_pix, margin)
+        margin = max(4.0 * np.abs(np.log(new / kappa)).max(), 0.01)
+        return new, theta, stats, value + gain
 
     kappa = np.ones(n_maps)
     # start from the flat-prior posterior mean at unit kappa
     theta = ((1.0 + np.einsum("j,jnc->nc", kappa, stack))
              / (shape.n_classes + kappa.sum()))
     stats = stats_at(theta)
-    current = exact_joint(kappa, theta, stats)   # then carried on the tables
+    # at unit kappa every map's sum of logGamma(kappa_j theta) is the same
+    current = joint(kappa, stats, n_maps * float(gammaln(theta).sum()))
     trace = []
     cycle = [np.log(kappa)]                   # u0, u1, u2 of one SQUAREM step
     converged = False
