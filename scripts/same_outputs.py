@@ -16,7 +16,8 @@ relative difference over the sweeps both traces hold; and where its
 a change that moves kappa or the fit's objective can say by how much.
 Where a ``*_prob`` raster payload differs, it prints how many f32 samples
 differ and the largest absolute difference; where a ``*_label`` payload
-differs, how many pixels differ.
+differs, how many pixels differ; and where ``manifest.json`` differs, the
+dotted path of each manifest entry that differs (``weights.trace``).
 
     python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC CONFIG_OR_SCENARIO
 """
@@ -103,6 +104,17 @@ def raster_difference(name: str, base: Path, change: Path):
     return text
 
 
+def differing_keys(base, change, path="") -> list:
+    """Dotted paths of the entries that differ between two JSON values,
+    descending into objects; a list or any other value differs whole."""
+    if not (isinstance(base, dict) and isinstance(change, dict)):
+        return [] if base == change else [path]
+    missing = object()
+    return [key for k in sorted(base.keys() | change.keys())
+            for key in differing_keys(base.get(k, missing), change.get(k, missing),
+                                      f"{path}.{k}" if path else k)]
+
+
 def largest_relative(base, change) -> float:
     """max |c - b| / |b| over the paired values of the two sides."""
     return max((abs(c - b) / abs(b) for b, c in zip(base, change)), default=0.0)
@@ -133,8 +145,14 @@ def main(argv=None) -> int:
             where = ("differs" if name in base and name in change
                      else "only under base" if name in base else "only under change")
             print(f"{where}: {name}")
-            if where == "differs" and (detail := raster_difference(
-                    name, Path(tmp) / "base", Path(tmp) / "change")):
+            if where != "differs":
+                continue
+            if name == "manifest.json":
+                detail = "entries that differ: " + ", ".join(
+                    differing_keys(base[name], change[name]))
+            else:
+                detail = raster_difference(name, Path(tmp) / "base", Path(tmp) / "change")
+            if detail:
                 print(f"  {detail}")
     if "weights.csv" in differ and weights["base"] and weights["change"]:
         was, now = weights["base"], weights["change"]

@@ -99,7 +99,9 @@ def discover_investigators(input_dir):
     """Find investigator probability rasters in a directory.
 
     Prefers an index.json written by the simulator; otherwise takes every
-    multi-band f32 raster whose name does not look like a reference.
+    multi-band f32 raster whose name does not look like a reference. A
+    name, the investigator's id, holding a comma or a line break is
+    refused: it cannot be one cell of weights.csv.
     """
     d = Path(input_dir)
     if not d.is_dir():
@@ -111,18 +113,23 @@ def discover_investigators(input_dir):
                 and len(set(names)) == len(names)):
             raise ValueError(f"malformed {index}: 'investigators' must be a list "
                              "of distinct file names in that directory")
-        return [(n, d / n) for n in names]
-    found = []
-    for sidecar in sorted(d.glob("*.json")):
-        payload = d / sidecar.stem
-        if sidecar.name == "index.json" or not payload.exists():
-            continue
-        _, header = read_header(payload)
-        if (header["dtype"] == "f32" and header["bands"] > 1
-                and payload.name not in ("truth", "reference")):
-            found.append((payload.name, payload))
-    if not found:
-        raise ValueError(f"no investigator rasters found in {d}")
+        found = [(n, d / n) for n in names]
+    else:
+        found = []
+        for sidecar in sorted(d.glob("*.json")):
+            payload = d / sidecar.stem
+            if not payload.exists():
+                continue
+            _, header = read_header(payload)
+            if (header["dtype"] == "f32" and header["bands"] > 1
+                    and payload.name not in ("truth", "reference")):
+                found.append((payload.name, payload))
+        if not found:
+            raise ValueError(f"no investigator rasters found in {d}")
+    for name, _ in found:
+        if {",", "\r", "\n"} & set(name):
+            raise ValueError(f"investigator id {name!r} in {d} holds a comma or a "
+                             "line break, which weights.csv cannot hold")
     return found
 
 

@@ -16,13 +16,8 @@ found by block coordinate ascent, accelerated by SQUAREM:
               interpolation; only the per-pixel multiplier lambda is then
               solved for, by bracketed Newton from the last sweep's
               lambda, each element's table interval carried between its
-              iterations. The same nodes tabulate F itself, a quintic
-              Hermite in u from F, F' and F'', so the sum of F at the new
-              theta and at the old one comes from the table too (exact
-              logGamma only below it). The table costs J * nodes
-              special-function calls instead of J * N * C per trial, and
-              the new theta is kept only if its joint so read is no lower
-              than the old theta's
+              iterations. The table costs J * nodes special-function calls
+              instead of J * N * C per trial
   kappa-step  per-investigator Newton iteration on u = log kappa,
               safeguarded by bisection within [log 1e-3, log 1e3]. Every
               gradient reads one shared scalar H(kappa) = sum theta
@@ -32,8 +27,8 @@ found by block coordinate ascent, accelerated by SQUAREM:
               and widened fourfold on a side where a root lies outside it,
               and every Newton runs on that: 17 to 65 N * C special-function
               calls per step (17 once kappa settles) instead of J * N * C
-              per iteration. A new kappa_j is kept only if its logGamma term
-              does not fall, by a change read from the same table's integral
+              per iteration. A new kappa_j is kept only if its term does
+              not fall, by a change read from the same table's integral L
   SQUAREM     one sweep (theta-step, then kappa-step) is a fixed-point map
               on u = log kappa that converges at a steady linear rate.
               After two sweeps u1 = F(u0) and u2 = F(u1), with r = u1 - u0,
@@ -45,33 +40,32 @@ found by block coordinate ascent, accelerated by SQUAREM:
               its joint is no lower than the joint at u2; otherwise the
               ascent goes on from u2
 
-Every kept sweep either maximizes or provably improves its blocks, or (a
-jump) ends no lower than the joint it replaces, so the joint
-log-posterior ascends monotonically and the iteration lands on a genuine
-local maximum: at convergence each kappa_j is the 1-D optimum against the
-final theta. The joint is read from the tables alone, one scalar: each
-theta step reads it afresh from the theta table's F, the kappa step adds
-its table's change, and the recorded trace and the ascent check read
-that. At the unit-kappa start every map's sum of logGamma(kappa_j theta)
-is the same, so the start joint takes one N * C pass, and only the end
-passes over the J * N * C logGamma terms: it gives the reported
-log-posterior exactly, and the fit raises if the carried joint has
-drifted from it by more than the ascent check's 1e-9 relative. Point
-estimates are all the downstream fusion needs, which is why no sampler
-is involved.
+Every sweep maximizes its theta block and provably improves its kappa
+block, and a jump sweep is kept only if it ends no lower than the joint it
+replaces, so the joint log-posterior ascends monotonically and the
+iteration lands on a genuine local maximum: at convergence each kappa_j is
+the 1-D optimum against the final theta. Each sweep reads its joint from
+one table, its kappa step's: L prices every map's sum_nc logGamma(kappa_j
+theta_nc) up to one constant, which one exact N * C pass at the first
+investigator pins. The recorded trace and the ascent check read that joint.
+At the unit-kappa start every map's sum is the first's, so the start joint
+takes that one pass alone, and only the end passes over the J * N * C
+logGamma terms: it gives the reported log-posterior exactly, and the fit
+raises if the last sweep's joint is more than the ascent check's 1e-9
+relative from it. Point estimates are all the downstream fusion needs,
+which is why no sampler is involved.
 
 Parallel sweeps. The special functions release the GIL, so each of a sweep's
 parts runs in up to _WORKERS row blocks of at least _MIN_BLOCK elements on
 grids.map_on_cores: theta's stats and the exact joint terms by
-investigator, the H table by node, the theta-step's multiplier Newton and
-sums of F by pixel. _WORKERS is grids.CORES, the cores of the CPU
-affinity. A row's result depends on that row alone, and each per-row
-reduction is a sum over the row's own axes, whose bits do not
-depend on the block size (einsum's do), and the pixels' sums of F are
-totalled once the blocks are joined; the kappa Newton and acceptance on
-the interpolants run on the calling thread. So the fit is
-bit-identical for any worker count. Pool threads do not inherit
-np.errstate, so every errstate sits in a block's code.
+investigator, the H table by node, the theta-step's multiplier Newton by
+pixel. _WORKERS is grids.CORES, the cores of the CPU affinity. A row's
+result depends on that row alone, and each per-row reduction is a sum over
+the row's own axes, whose bits do not depend on the block size (einsum's
+do); the kappa Newton, its acceptance and the joint read on the
+interpolants run on the calling thread. So the fit is bit-identical for any
+worker count. Pool threads do not inherit np.errstate, so every errstate
+sits in a block's code.
 """
 
 from __future__ import annotations
@@ -268,30 +262,22 @@ def _interval(g, y, k):
 
 def _theta_kkt(theta, kappa, lin, lam0):
     """Exact theta block maximization through its KKT conditions; returns the
-    new theta with sum F at it and at the given theta, F(t) = sum_j
-    logGamma(kappa_j t), and the per-pixel multipliers.
+    new theta and the per-pixel multipliers.
 
-    Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)] is strictly
-    concave on the simplex, and its maximum solves G(theta_c) = lin_c -
-    lambda, sum_c theta_c = 1. The inverse of G comes from a table on
-    u = log t over [log min(theta) - 1, 0] (floored at 1e-12); below the
-    table G is extended by its pole, G(t) ~ -J/t + const. The sum of
-    G^-1(lin_c - lambda) is decreasing and convex in lambda, so Newton
-    from lam0 clipped into the bracket [max lin - G(1), max lin - G(1/C)]
-    (-inf: its lower end) closes on lambda from the left, a start right of
-    it stepping once to its left; bisection backs up any step that leaves
-    the bracket. Pixels leave the iteration once their Newton step is
-    below 1e-13 relative. Each element's table interval is carried from
-    one iteration to the next and searched again (_interval) only where
-    its value has left it.
-
-    The same nodes tabulate F, with dF/du = t G and d2F/du2 = t G + t/m
-    from the inversion's own arrays, and F between two nodes is their
-    quintic Hermite piece in u, found by arithmetic on the uniform grid;
-    elements below the table take exact gammaln. Each pixel block returns
-    its pixels' sums, so the totals do not depend on the blocks.
+    Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)], F(t) =
+    sum_j logGamma(kappa_j t), is strictly concave on the simplex, and its
+    maximum solves G(theta_c) = lin_c - lambda, sum_c theta_c = 1. The
+    inverse of G = F' comes from a table on u = log t over [log min(theta)
+    - 1, 0] (floored at 1e-12); below the table G is extended by its pole,
+    G(t) ~ -J/t + const. The sum of G^-1(lin_c - lambda) is decreasing and
+    convex in lambda, so Newton from lam0 clipped into the bracket [max lin
+    - G(1), max lin - G(1/C)] (-inf: its lower end) closes on lambda from
+    the left, a start right of it stepping once to its left; bisection
+    backs up any step that leaves the bracket. Pixels leave the iteration
+    once their Newton step is below 1e-13 relative. Each element's table
+    interval is carried from one iteration to the next and searched again
+    (_interval) only where its value has left it.
     """
-    n_pix, n_cls = theta.shape
     n_maps = kappa.size
     u = np.linspace(max(np.log(theta.min()) - 1.0, _LOG_THETA_FLOOR), 0.0,
                     _THETA_NODES)
@@ -305,16 +291,6 @@ def _theta_kkt(theta, kappa, lin, lam0):
     c = 3.0 * np.diff(u) - 2.0 * b0 - b1
     d = b0 + b1 - 2.0 * np.diff(u)
     pole = g[0] + n_maps / t[0]
-    # quintic Hermite pieces of F(u): F = sum_i q_i s^i on node step h
-    h = -u[0] / (_THETA_NODES - 1)
-    big_f = gammaln(kt).sum(axis=0)
-    df, d2f = h * t * g, h * h * (t * g + t / m)
-    rise = big_f[1:] - big_f[:-1] - df[:-1] - 0.5 * d2f[:-1]
-    slope, bend = df[1:] - df[:-1] - d2f[:-1], d2f[1:] - d2f[:-1]
-    q = np.stack([big_f[:-1], df[:-1], 0.5 * d2f[:-1],
-                  10.0 * rise - 4.0 * slope + 0.5 * bend,
-                  -15.0 * rise + 7.0 * slope - bend,
-                  6.0 * rise - 3.0 * slope + 0.5 * bend], axis=-1)
 
     def inverse(y, k):
         """theta = G^-1(y), d theta / dy and the table interval of y,
@@ -328,25 +304,10 @@ def _theta_kkt(theta, kappa, lin, lam0):
         dth[below] = th[below] ** 2 / n_maps
         return th, dth, k
 
-    def f_sums(th):
-        """Per-pixel sums of F at th: the quintic on the table, exact below it."""
-        x = (np.log(th) - u[0]) / h
-        k = np.clip(x.astype(np.intp), 0, _THETA_NODES - 2)
-        s = x - k
-        p = q[k]
-        fh = p[..., 5]
-        for i in range(4, -1, -1):
-            fh = fh * s + p[..., i]
-        below = x < 0.0
-        if below.any():
-            fh[below] = gammaln(kappa[:, None] * th[below]).sum(axis=0)
-        return fh.sum(axis=1)
-
-    g_flat = kappa @ psi(kappa / n_cls)               # G(1/C)
+    g_flat = kappa @ psi(kappa / theta.shape[1])      # G(1/C)
 
     def solve(rows):
-        """The multiplier Newton and theta for one block of pixels, with the
-        block's sums of F at the new theta and the given one."""
+        """The multiplier Newton and theta for one block of pixels."""
         lin_b = lin[rows]
         top = lin_b.max(axis=1)
         lo, hi = top - g[-1], top - g_flat
@@ -370,28 +331,36 @@ def _theta_kkt(theta, kappa, lin, lam0):
                 break
         th, *_ = inverse(lin_b - lam[:, None], k)
         th /= th.sum(axis=1, keepdims=True)
-        return th, f_sums(th), f_sums(theta[rows]), lam
+        return th, lam
 
-    new, f_new, f_old, lam = map(np.concatenate, zip(*_in_blocks(solve, n_pix, n_cls)))
-    return new, float(f_new.sum()), float(f_old.sum()), lam
+    return tuple(map(np.concatenate, zip(*_in_blocks(solve, *theta.shape))))
 
 
 def _kappa_block(kappa, theta, stats, n_pix, margin):
     """kappa step with acceptance on the H table; returns the kept kappa
-    and the joint's change.
+    and the table's L, whose interval holds every old and kept kappa.
 
     Investigator j's term moves by delta_j = n [logGamma(c) - logGamma(k)]
     - (L(log c) - L(log k)) + (c - k) stats_j + log(c / k) - (c - k) from
     k to its Newton kappa c, with L from the Newton's own table, so no
-    J * N * C pass is needed. j takes c only if delta_j >= 0, and the
-    joint moves by the sum of the kept delta_j.
+    J * N * C pass is needed. j takes c only if delta_j >= 0.
     """
     cand, big_l = _kappa_newton(kappa, theta, stats, n_pix, margin)
     delta = (n_pix * (gammaln(cand) - gammaln(kappa))
              - (big_l(np.log(cand)) - big_l(np.log(kappa)))
              + (cand - kappa) * stats + np.log(cand / kappa) - (cand - kappa))
-    better = delta >= 0
-    return np.where(better, cand, kappa), float(delta[better].sum())
+    return np.where(delta >= 0, cand, kappa), big_l
+
+
+def _table_joint(kappa, theta, stats, logp_total, n_pix, big_l):
+    """The joint log-posterior at (kappa, theta), every map's sum_nc
+    logGamma(kappa_j theta_nc) read from big_l, an L whose interval holds
+    every kappa: exact up to one constant, pinned by an exact N * C pass at
+    the first investigator."""
+    u = np.log(kappa)
+    lg = float(gammaln(kappa[0] * theta).sum()) + big_l(u) - big_l(u[0])
+    return float((n_pix * gammaln(kappa) - lg + kappa * stats - logp_total
+                  + u - kappa).sum())
 
 
 def _squarem_point(u0, u1, u2):
@@ -436,65 +405,42 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         return np.concatenate(_in_blocks(
             lambda rows: (theta * logp[rows]).sum(axis=(1, 2)), n_maps, theta.size))
 
-    def exact_joint(kappa, theta, stats):
-        """The joint log-posterior at (kappa, theta) by one J * N * C pass."""
-        return float(np.concatenate(_in_blocks(
-            lambda rows: _objective_all(kappa[rows], theta, stats[rows],
-                                        logp_total[rows], n_pix),
-            n_maps, theta.size)).sum())
-
-    def joint(kappa, stats, f_sum):
-        """The joint at kappa for a theta with these stats and sum F."""
-        return float((n_pix * gammaln(kappa) + kappa * stats - logp_total
-                      + np.log(kappa) - kappa).sum()) - f_sum
-
     lam, margin = np.full(n_pix, -np.inf), 2.0   # each sweep's warm starts
 
-    def sweep(kappa, theta, stats, at_jump):
-        """One outer sweep: the theta block, kept if its joint on the theta
-        table is no lower than the given theta's (always at a jump), then
-        the kappa block; returns the kept point and its joint, and leaves
-        the multipliers and the kappa move's margin for the next sweep."""
+    def sweep(kappa, theta):
+        """One outer sweep: the theta block, then the kappa block; returns the
+        new point and its joint on the kappa step's table, and leaves the
+        multipliers and the kappa move's margin for the next sweep."""
         nonlocal lam, margin
-        cand, f_cand, f_held, lam = _theta_kkt(
-            theta, kappa, np.einsum("j,jnc->nc", kappa, logp), lam)
-        cand_stats = stats_at(cand)
-        value, held = joint(kappa, cand_stats, f_cand), joint(kappa, stats, f_held)
-        if at_jump or value >= held:
-            theta, stats = cand, cand_stats
-        else:
-            value = held
-        new, gain = _kappa_block(kappa, theta, stats, n_pix, margin)
+        theta, lam = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp), lam)
+        stats = stats_at(theta)
+        new, big_l = _kappa_block(kappa, theta, stats, n_pix, margin)
         margin = max(4.0 * np.abs(np.log(new / kappa)).max(), 0.01)
-        return new, theta, stats, value + gain
+        return new, theta, _table_joint(new, theta, stats, logp_total, n_pix, big_l)
 
     kappa = np.ones(n_maps)
     # start from the flat-prior posterior mean at unit kappa
     theta = ((1.0 + np.einsum("j,jnc->nc", kappa, stack))
              / (shape.n_classes + kappa.sum()))
-    stats = stats_at(theta)
-    # at unit kappa every map's sum of logGamma(kappa_j theta) is the same
-    current = joint(kappa, stats, n_maps * float(gammaln(theta).sum()))
+    # at unit kappa every map's sum of logGamma(kappa_j theta) is the first's
+    current = _table_joint(kappa, theta, stats_at(theta), logp_total, n_pix,
+                           np.zeros_like)
     trace = []
     cycle = [np.log(kappa)]                   # u0, u1, u2 of one SQUAREM step
     converged = False
-    it = 0
     for it in range(1, 201):
         kappa_prev = kappa
         jump = None
         if len(cycle) == 3:
             jump, cycle = _squarem_point(*cycle), cycle[2:]
-        if jump is None:
-            kappa, theta, stats, new_val = sweep(kappa, theta, stats, False)
-        else:
-            # the jump's theta is always taken; the sweep is kept only if it
-            # ends no lower than the joint at u2
-            cand = sweep(np.exp(jump), theta, stats, True)
-            if not cand[3] >= current:
+        cand = sweep(kappa if jump is None else np.exp(jump), theta)
+        if jump is not None:
+            # the jump sweep is kept only if it ends no lower than the joint at u2
+            if not cand[2] >= current:
                 trace.append(current)           # the ascent goes on from u2
                 continue
-            kappa, theta, stats, new_val = cand
             cycle = []                          # its end is the next u0
+        kappa, theta, new_val = cand
         if not new_val >= current - 1e-9 * max(1.0, abs(current)):
             raise RuntimeError("log-posterior decreased during ascent: "
                                f"{current!r} -> {new_val!r} at iteration {it}")
@@ -506,9 +452,14 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
             converged = True
             break
 
-    exact = exact_joint(kappa, theta, stats)
+    # the one J * N * C logGamma pass: the exact joint at the returned point
+    stats = stats_at(theta)
+    exact = float(np.concatenate(_in_blocks(
+        lambda rows: _objective_all(kappa[rows], theta, stats[rows],
+                                    logp_total[rows], n_pix),
+        n_maps, theta.size)).sum())
     if not abs(current - exact) <= 1e-9 * max(1.0, abs(exact)):
-        raise RuntimeError("carried log-posterior drifted from the exact joint: "
+        raise RuntimeError("table-read log-posterior drifted from the exact joint: "
                            f"{current!r} against {exact!r}")
     return WeightEstimate(kappa=kappa, log_posterior=exact,
                           iterations=it, converged=converged, trace=trace)

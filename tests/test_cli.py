@@ -246,6 +246,29 @@ def test_malformed_header_exits_2(work, capsys, tmp_path):
     assert "malformed header" in err and str(scan / ids[1]) in err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "fuse"])
+def test_id_that_is_not_one_csv_cell_exits_2_before_any_write(work, capsys, tmp_path,
+                                                              command):
+    """An id "a,b" would make weights.csv a file that --weights cannot read."""
+    data = tmp_path / "data"
+    shutil.copytree(work / "data", data)
+    ids = json.loads((data / "index.json").read_text())["investigators"]
+    for suffix in ("", ".json"):
+        (data / (ids[1] + suffix)).rename(data / ("a,b" + suffix))
+    (data / "index.json").write_text(json.dumps({"investigators": [ids[0], "a,b"]}))
+    out = tmp_path / "out"
+    cfg = json.loads((work / "pipeline.json").read_text())
+    (tmp_path / "p.json").write_text(json.dumps(
+        {**cfg, "input_dir": str(data), "reference": str(data / "truth"),
+         "output_dir": str(out)}))
+    argv = (["pipeline", str(tmp_path / "p.json")] if command == "pipeline"
+            else ["fuse", "-i", str(data), "-o", str(out), "--weights", "auto"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'a,b'" in err[0] and "comma" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 def test_fuse_rejects_non_probability_payload(work, capsys, tmp_path, bad):
     data = tmp_path / "data"

@@ -609,6 +609,24 @@ def test_discovery_rejects_malformed_index(tmp_path, doc):
         discover_investigators(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+def test_discovery_refuses_an_index_id_that_is_not_one_csv_cell(tmp_path, name):
+    """weights.csv would write the id as it is, and could not be read back."""
+    (tmp_path / "index.json").write_text(json.dumps({"investigators": ["inv00", name]}))
+    with pytest.raises(ValueError, match="comma or a line break") as err:
+        discover_investigators(tmp_path)
+    assert "\n" not in str(err.value)
+
+
+def test_discovery_refuses_a_scanned_id_that_is_not_one_csv_cell(tmp_path):
+    rng = np.random.default_rng(0)
+    for name in ("alpha", "a,b"):
+        v = rng.dirichlet(np.ones(3), size=(4, 4)).transpose(2, 0, 1)
+        save_probability_raster(make_prob(v), tmp_path / name)
+    with pytest.raises(ValueError, match="'a,b' .* comma or a line break"):
+        discover_investigators(tmp_path)
+
+
 def test_discovery_errors(tmp_path):
     with pytest.raises(ValueError, match="does not exist"):
         discover_investigators(tmp_path / "absent")

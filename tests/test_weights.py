@@ -196,13 +196,13 @@ def test_warm_started_theta_step_reaches_the_block_maximum(name, side):
     maps, kappa = _kkt_fixtures()[name]
     start, lin, theta_obj, _ = _theta_problem(maps, kappa)
     ref, _ = _theta_newton(start, kappa, lin, theta_obj)
-    _, _, _, root = _theta_kkt(start, kappa, lin, _cold(start))
+    _, root = _theta_kkt(start, kappa, lin, _cold(start))
     top = lin.max(axis=1)
     lo, hi = top - kappa @ psi(kappa), top - kappa @ psi(kappa / 4)
     assert ((lo < root) & (root < hi)).all()
     lam0 = {"left": 0.5 * (lo + root), "right": 0.5 * (root + hi),
             "above-bracket": hi + 1.0}[side]
-    theta, _, _, lam = _theta_kkt(start, kappa, lin, lam0)
+    theta, lam = _theta_kkt(start, kappa, lin, lam0)
     assert np.abs(theta - ref).max() <= 1e-12
     assert np.abs(lam - root).max() <= 1e-12 * np.abs(root).max()
 
@@ -361,32 +361,34 @@ def test_table_integral_matches_exact_log_gamma_sums(name, widened):
         assert abs(got - want) <= 1e-13 * max(abs(exact(k)), abs(exact(c)), ends)
 
 
-def test_theta_table_log_gamma_sums_match_exact_sums():
-    """sum F at the new theta and at the given one, F(t) = sum_j
-    logGamma(kappa_j t) from the theta table's quintic pieces, against
-    math.fsum of the exact terms: each fixture's theta solved at its own
-    kappa and at both ends of the kappa bracket. At kappa 1e3 some new
-    elements fall below the table, where exact gammaln takes over. The
-    bound is relative to the sum of |logGamma| terms."""
-    below = 0
-    for maps, kappa in _kkt_fixtures().values():
-        start, *_ = _theta_problem(maps, kappa)
-        for k in (kappa, np.full(kappa.size, 1e-3), np.full(kappa.size, 1e3)):
-            _, lin, _, _ = _theta_problem(maps, k)
-            theta, f_new, f_start, _ = _theta_kkt(start, k, lin, _cold(start))
-            floor = max(np.log(start.min()) - 1.0, np.log(1e-12))
-            below += int((np.log(theta) < floor).sum())
-            for th, got in ((theta, f_new), (start, f_start)):
-                terms = gammaln(k[:, None, None] * th).ravel()
-                assert abs(got - math.fsum(terms)) <= 1e-14 * math.fsum(np.abs(terms))
-    assert below > 0
+@pytest.mark.parametrize("name", ["unit-kappa", "kappa-at-bound", "scattered-map"])
+def test_table_joint_matches_the_exact_joint(name):
+    """The joint read from a kappa block's L, pinned by the exact logGamma
+    sum at the first investigator, against math.fsum of the exact joint
+    terms, at the block's start and kept kappa: from the fixture's kappa,
+    and from kappa at both ends of the bracket, alternating by
+    investigator, whose table spans the whole bracket. The bound, 1e-13,
+    is relative to the sum of |terms|: at kappa 1e3 the joint cancels
+    terms of 6e6 down to 8e3, below any rounding of the table's L."""
+    _, theta, stats, n_pix = _kappa_problem(name)
+    ends = np.where(np.arange(stats.size) % 2, 1e3, 1e-3)
+    for start in (_kkt_fixtures()[name][1], ends, ends[::-1].copy()):
+        kept, big_l = mapfuse.weights._kappa_block(start, theta, stats, n_pix, 2.0)
+        for k in (start, kept):
+            got = mapfuse.weights._table_joint(k, theta, stats, np.zeros(k.size),
+                                               n_pix, big_l)
+            terms = np.concatenate([
+                n_pix * gammaln(k), -gammaln(k[:, None, None] * theta).ravel(),
+                k * stats, np.log(k), -k])
+            assert abs(got - math.fsum(terms)) <= 1e-13 * math.fsum(np.abs(terms))
 
 
 @pytest.mark.parametrize("name", ["unit-kappa", "kappa-at-bound", "scattered-map"])
 def test_kappa_block_refuses_a_candidate_whose_exact_term_falls(monkeypatch, name):
     """Moved 5% off each investigator's optimum, every candidate's exact
     term falls by more than 1e-8, and the table's delta refuses it; from
-    there the Newton kappa is kept, with a gain that tracks the exact one."""
+    there the Newton kappa is kept, and the joint's rise read from the
+    block's L tracks the exact one."""
     kappa, theta, stats, n_pix = _kappa_problem(name)
     best, _ = _kappa_newton(kappa, theta, stats, n_pix, 2.0)
     off = best * np.where(np.arange(best.size) % 2, 1.05, 0.95)
@@ -399,18 +401,23 @@ def test_kappa_block_refuses_a_candidate_whose_exact_term_falls(monkeypatch, nam
     with monkeypatch.context() as patch:
         patch.setattr(mapfuse.weights, "_kappa_newton",
                       lambda *args: (off, newton(*args)[1]))
-        kept, gain = mapfuse.weights._kappa_block(best, theta, stats, n_pix, 2.0)
-    assert np.array_equal(kept, best) and gain == 0.0
-    kept, gain = mapfuse.weights._kappa_block(off, theta, stats, n_pix, 2.0)
+        kept, _ = mapfuse.weights._kappa_block(best, theta, stats, n_pix, 2.0)
+    assert np.array_equal(kept, best)
+    kept, big_l = mapfuse.weights._kappa_block(off, theta, stats, n_pix, 2.0)
     assert np.abs(kept / best - 1.0).max() <= 1e-10
     rise = math.fsum(exact(kept)) - math.fsum(exact(off))
+    gain = float((n_pix * (gammaln(kept) - gammaln(off))
+                  - (big_l(np.log(kept)) - big_l(np.log(off)))
+                  + (kept - off) * stats + np.log(kept / off) - (kept - off)).sum())
     assert abs(gain - rise) <= 1e-12 * np.abs(exact(kept)).sum()
 
 
 def test_fit_stays_within_special_function_budget(monkeypatch):
     """gammaln/psi/trigamma elements per outer iteration <= 2.6 J*N*C.
 
-    Criterion-5 investigators on a 64x64 scene; 2.47 was measured with the
+    Criterion-5 investigators on a 64x64 scene; 2.49 was measured with
+    each sweep's joint read from its kappa table, pinned by an N*C logGamma
+    pass in place of the theta table's J*1024 logGamma of F, 2.47 with the
     H table sized to the last kappa move and an N*C logGamma pass for the
     start joint, 3.16 with the theta step's acceptance on its own table's
     F and an exact J*N*C logGamma pass only at the fit's start and end,
@@ -439,8 +446,8 @@ def test_fit_stays_within_special_function_budget(monkeypatch):
 
 
 def test_one_joint_pass_per_fit(monkeypatch):
-    """The theta step decides on its G table's F, the kappa step on its H
-    table, and the unit-kappa start joint on one N*C logGamma pass, so a
+    """Each sweep reads its joint from its kappa step's H table, pinned by
+    one N*C logGamma pass, and so does the unit-kappa start, so a
     one-worker fit evaluates the J*N*C objective once: at the end, for the
     reported log-posterior."""
     calls = []
@@ -457,7 +464,7 @@ def test_one_joint_pass_per_fit(monkeypatch):
 
 
 def test_log_posterior_is_the_exact_joint_at_the_returned_kappa(monkeypatch):
-    """The trace is carried on the sweeps' tables, but the reported
+    """The trace is read from the sweeps' tables, but the reported
     log-posterior comes from one exact J*N*C pass at the returned kappa
     and the theta kept with it, and agrees with math.fsum of the terms."""
     calls = []
@@ -485,19 +492,18 @@ def test_log_posterior_is_the_exact_joint_at_the_returned_kappa(monkeypatch):
 
 @pytest.mark.parametrize("drift, raises", [(0.3e-9, False), (3e-9, True)])
 def test_drift_of_the_carried_joint_raises(monkeypatch, drift, raises):
-    """Every kappa block's gain overstated by the same amount keeps the
-    ascent, since each theta step reads the joint afresh, but leaves the
-    carried joint that far from the exact one at the end: within 1e-9
-    relative the fit returns, past it it raises."""
+    """Every table-read joint, the start's too, overstated by the same
+    amount keeps the ascent but leaves the last sweep's joint that far from
+    the exact one at the end: within 1e-9 relative the fit returns, past it
+    it raises."""
     maps = _criterion5_panel()
     shift = drift * abs(estimate_weights(maps).log_posterior)
-    kappa_block = mapfuse.weights._kappa_block
+    table_joint = mapfuse.weights._table_joint
 
-    def drifting_block(*args):
-        kappa, gain = kappa_block(*args)
-        return kappa, gain + shift
+    def drifting_joint(*args):
+        return table_joint(*args) + shift
 
-    monkeypatch.setattr(mapfuse.weights, "_kappa_block", drifting_block)
+    monkeypatch.setattr(mapfuse.weights, "_table_joint", drifting_joint)
     if raises:
         with pytest.raises(RuntimeError, match="drifted from the exact joint"):
             estimate_weights(maps)
@@ -559,16 +565,34 @@ def test_error_in_a_sweep_block_surfaces_from_the_fit(monkeypatch, raising):
 
 
 def test_ascent_check_raises_on_reported_decrease(monkeypatch):
-    kappa_block = mapfuse.weights._kappa_block
+    table_joint, reads = mapfuse.weights._table_joint, []
 
-    def losing_block(*args):
-        # well past anything the theta block gained in the same iteration
-        kappa, gain = kappa_block(*args)
-        return kappa, gain - 1e6
+    def losing_joint(*args):
+        # each read 1e6 below the last, well past anything a sweep gains
+        reads.append(args)
+        return table_joint(*args) - 1e6 * len(reads)
 
-    monkeypatch.setattr(mapfuse.weights, "_kappa_block", losing_block)
+    monkeypatch.setattr(mapfuse.weights, "_table_joint", losing_joint)
     with pytest.raises(RuntimeError, match="log-posterior decreased"):
         estimate_weights(_panel((0.1, 0.3), seed=33), seed=1)
+
+
+def test_theta_step_that_lowers_the_joint_raises(monkeypatch):
+    """No sweep holds the old theta: a theta step that lowers the joint,
+    here the fourth sweep's (a plain one) blended halfway toward the
+    uniform map, fails the ascent check."""
+    theta_kkt, steps = mapfuse.weights._theta_kkt, []
+
+    def blending(*args):
+        theta, lam = theta_kkt(*args)
+        steps.append(theta)
+        if len(steps) == 4:
+            theta = 0.5 * theta + 0.5 / theta.shape[1]
+        return theta, lam
+
+    monkeypatch.setattr(mapfuse.weights, "_theta_kkt", blending)
+    with pytest.raises(RuntimeError, match="decreased during ascent.* at iteration 4$"):
+        estimate_weights(_criterion5_panel())
 
 
 def test_squarem_point_lands_on_a_linear_maps_fixed_point():
@@ -596,9 +620,9 @@ def test_squarem_extrapolates_from_the_last_three_kept_points(monkeypatch):
     squarem_point = mapfuse.weights._squarem_point
 
     def recording_block(*args):
-        kappa, gain = kappa_block(*args)
+        kappa, big_l = kappa_block(*args)
         kept.append(np.log(kappa))
-        return kappa, gain
+        return kappa, big_l
 
     def recording_point(u0, u1, u2):
         seen.append((len(kept), u0, u1, u2))
@@ -636,7 +660,7 @@ def test_rejected_jump_keeps_the_ascent_and_records_no_loser(monkeypatch):
     """A jump whose joint loses is dropped: the fit goes on from u2,
     converges, its trace stays monotone, and the losing joint, 1e6 below
     the joint before it, is never recorded."""
-    kappa_block = mapfuse.weights._kappa_block
+    table_joint = mapfuse.weights._table_joint
     squarem_point = mapfuse.weights._squarem_point
     jumping, rejected = [False], []
 
@@ -645,18 +669,18 @@ def test_rejected_jump_keeps_the_ascent_and_records_no_loser(monkeypatch):
         jumping[0] = point is not None
         return point
 
-    def losing_block(*args):
-        kappa, gain = kappa_block(*args)
-        if jumping[0]:                 # the jump sweep's kappa block
+    def losing_joint(*args):
+        value = table_joint(*args)
+        if jumping[0]:                 # the jump sweep's joint
             jumping[0] = False
-            gain = gain - 1e6
-            rejected.append(gain)
-        return kappa, gain
+            value = value - 1e6
+            rejected.append(value)
+        return value
 
     maps = _criterion5_panel()
     reference = estimate_weights(maps)
     monkeypatch.setattr(mapfuse.weights, "_squarem_point", marking_point)
-    monkeypatch.setattr(mapfuse.weights, "_kappa_block", losing_block)
+    monkeypatch.setattr(mapfuse.weights, "_table_joint", losing_joint)
     est = estimate_weights(maps)
     trace = np.asarray(est.trace)
     assert rejected and est.converged
@@ -710,9 +734,9 @@ def test_one_kappa_step_at_the_start_ranks_the_scattered_map_first(monkeypatch):
     swept, kappa_block = [], mapfuse.weights._kappa_block
 
     def recording_block(*args):
-        kappa, gain = kappa_block(*args)
+        kappa, big_l = kappa_block(*args)
         swept.append(kappa)
-        return kappa, gain
+        return kappa, big_l
 
     monkeypatch.setattr(mapfuse.weights, "_kappa_block", recording_block)
     fit = estimate_weights(maps).kappa
