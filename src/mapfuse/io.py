@@ -32,6 +32,13 @@ def is_bare_file_name(name) -> bool:
     return isinstance(name, str) and name not in ("", "..") and Path(name).name == name
 
 
+def check_id_cell(name, where) -> None:
+    """Refuse an investigator id that cannot be one cell of weights.csv."""
+    if {",", "\r", "\n"} & set(name):
+        raise ValueError(f"investigator id {name!r} in {where} holds a comma or a "
+                         "line break, which weights.csv cannot hold")
+
+
 def check_output_dir(path) -> None:
     """Refuse an output directory path that names an existing file or lies under one."""
     base = Path(path)

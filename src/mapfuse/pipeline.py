@@ -32,7 +32,7 @@ from .clustering import (METHODS, entropy_features, kmeans_cluster, kmedoids_clu
                          save_cluster_model)
 from .fusion import fuse, fused_label_map
 from .grids import CORES, LabelRaster, common_shape, first_max, hard_classify
-from .io import (check_output_dir, is_bare_file_name, load_label_raster,
+from .io import (check_id_cell, check_output_dir, is_bare_file_name, load_label_raster,
                  load_probability_raster, read_header, read_json, save_label_raster,
                  save_probability_raster, write_csv, write_text_atomic)
 from .landscape import edge_table, write_iji_csv
@@ -127,9 +127,7 @@ def discover_investigators(input_dir):
         if not found:
             raise ValueError(f"no investigator rasters found in {d}")
     for name, _ in found:
-        if {",", "\r", "\n"} & set(name):
-            raise ValueError(f"investigator id {name!r} in {d} holds a comma or a "
-                             "line break, which weights.csv cannot hold")
+        check_id_cell(name, d)
     return found
 
 

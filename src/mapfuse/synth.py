@@ -39,8 +39,8 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .grids import NODATA, GridShape, LabelRaster, ProbabilityRaster, _freeze, regularize
-from .io import (check_output_dir, is_bare_file_name, read_json, save_label_raster,
-                 save_probability_raster, write_text_atomic)
+from .io import (check_id_cell, check_output_dir, is_bare_file_name, read_json,
+                 save_label_raster, save_probability_raster, write_text_atomic)
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,7 @@ def load_scenario(path):
     # a raster is its payload plus a ".json" header; no two outputs share a file
     owner = dict.fromkeys(("truth", "truth.json", "index.json"))
     for map_id in ids:
+        check_id_cell(map_id, path)
         for name in (map_id, map_id + ".json"):
             if owner.setdefault(name, map_id) != map_id:
                 raise ValueError(f"investigator id {map_id!r} in {path} would "

@@ -14,21 +14,21 @@ found by block coordinate ascent, accelerated by SQUAREM:
               inversion). G and dG/du are tabulated once per sweep
               on a grid in u = log t and inverted by cubic Hermite
               interpolation; only the per-pixel multiplier lambda is then
-              solved for, by bracketed Newton from the last sweep's
-              lambda, each element's table interval carried between its
-              iterations. The table costs J * nodes special-function calls
-              instead of J * N * C per trial
+              solved for, by bracketed Newton from the incoming theta: its
+              linearized unit-sum root, each element's table interval
+              starting at theta's own. The table costs J * nodes
+              special-function calls instead of J * N * C per trial
   kappa-step  per-investigator Newton iteration on u = log kappa,
               safeguarded by bisection within [log 1e-3, log 1e3]. Every
               gradient reads one shared scalar H(kappa) = sum theta
               psi(kappa theta), so each step tabulates H once as a Chebyshev
-              interpolant on [min u - m, max u + m], m 4 times the last
-              step's largest move in u (at least 0.01; 2 at the first step)
-              and widened fourfold on a side where a root lies outside it,
-              and every Newton runs on that: 17 to 65 N * C special-function
-              calls per step (17 once kappa settles) instead of J * N * C
-              per iteration. A new kappa_j is kept only if its term does
-              not fall, by a change read from the same table's integral L
+              interpolant on [min u - m, max u + m], m the last step's
+              largest move in u (at least 0.01; 2 at the first step) and
+              widened fourfold on a side where a root lies outside it, and
+              every Newton runs on that, an investigator's ending with a
+              step below 1e-12: 17 to 65 N * C special-function calls per
+              step instead of J * N * C per iteration. A new kappa_j is
+              kept only if its term does not fall, by L, the table's integral
   SQUAREM     one sweep (theta-step, then kappa-step) is a fixed-point map
               on u = log kappa that converges at a steady linear rate.
               After two sweeps u1 = F(u0) and u2 = F(u1), with r = u1 - u0,
@@ -36,13 +36,13 @@ found by block coordinate ascent, accelerated by SQUAREM:
               extrapolation u0 - 2 alpha r + alpha^2 v, clipped to the
               kappa bracket, gets one sweep of its own: theta solved there,
               then the kappa-step (Varadhan & Roland 2008, Scand. J. Stat.
-              35:335-353, step length S3). That jump sweep is kept only if
-              its joint is no lower than the joint at u2; otherwise the
-              ascent goes on from u2
+              35:335-353, step length S3). That jump sweep is kept unless
+              its joint is below the joint at u2 by more than the ascent
+              check's 1e-9 relative; otherwise the ascent goes on from u2
 
 Every sweep maximizes its theta block and provably improves its kappa
 block, and a jump sweep is kept only if it ends no lower than the joint it
-replaces, so the joint log-posterior ascends monotonically and the
+replaces, up to that tolerance, so the joint log-posterior ascends and the
 iteration lands on a genuine local maximum: at convergence each kappa_j is
 the 1-D optimum against the final theta. Each sweep reads its joint from
 one table, its kappa step's: L prices every map's sum_nc logGamma(kappa_j
@@ -212,8 +212,9 @@ def _kappa_newton(kappa0, theta, stats, n_pix, margin):
     Newton steps on u then run on the interpolant, whose derivative gives
     the exact curvature; the gradient's sign change brackets each maximum,
     and a step leaving its bracket (or taken where the curvature is not
-    negative) falls back to bisection for that investigator only. An
-    investigator whose step falls below 1e-12 leaves the iteration.
+    negative) falls back to bisection for that investigator only. A step
+    below 1e-12 is taken, in its bracket or not (at the root a sub-ulp step
+    leaves u on the end just set), and ends that investigator's iteration.
     Returns the new kappa and the final table's L, whose interval holds
     both every kappa0 and every new kappa.
     """
@@ -240,7 +241,8 @@ def _kappa_newton(kappa0, theta, stats, n_pix, margin):
         d2u = du + k ** 2 * (n_pix * _trigamma(k) - dh(ua) / k - 1.0 / k ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = ua - du / d2u
-        usable = (d2u < 0) & (newton > lo[act]) & (newton < hi[act])
+        done = np.abs(newton - ua) < 1e-12      # taken at the root, never bisected
+        usable = (d2u < 0) & (done | (newton > lo[act]) & (newton < hi[act]))
         u_new = np.where(usable, newton, 0.5 * (lo[act] + hi[act]))
         u[act] = u_new
         act = act[np.abs(u_new - ua) >= 1e-12]
@@ -260,27 +262,34 @@ def _interval(g, y, k):
     return k
 
 
-def _theta_kkt(theta, kappa, lin, lam0):
-    """Exact theta block maximization through its KKT conditions; returns the
-    new theta and the per-pixel multipliers.
+def _theta_kkt(theta, kappa, lin):
+    """Exact theta block maximization through its KKT conditions, started
+    from the given theta; returns the new theta.
 
     Per pixel the objective sum_c [lin_c*theta_c - F(theta_c)], F(t) =
     sum_j logGamma(kappa_j t), is strictly concave on the simplex, and its
     maximum solves G(theta_c) = lin_c - lambda, sum_c theta_c = 1. The
     inverse of G = F' comes from a table on u = log t over [log min(theta)
-    - 1, 0] (floored at 1e-12); below the table G is extended by its pole,
-    G(t) ~ -J/t + const. The sum of G^-1(lin_c - lambda) is decreasing and
-    convex in lambda, so Newton from lam0 clipped into the bracket [max lin
-    - G(1), max lin - G(1/C)] (-inf: its lower end) closes on lambda from
-    the left, a start right of it stepping once to its left; bisection
-    backs up any step that leaves the bracket. Pixels leave the iteration
-    once their Newton step is below 1e-13 relative. Each element's table
-    interval is carried from one iteration to the next and searched again
-    (_interval) only where its value has left it.
+    - 1, 0], reaching down to a lower bound on every root in the bracket
+    (floored at 1e-12); below the table G is extended by its pole, G(t) ~
+    -J/t + const. The sum of G^-1(lin_c - lambda) is decreasing and convex
+    in lambda, so Newton clipped into the bracket [max lin - G(1), max lin
+    - G(1/C)] closes on lambda from the left, a start right of it stepping
+    once to its left; bisection backs up any step that leaves the bracket.
+    Newton starts at the root of the unit-sum condition linearized at the
+    given theta, sum_c w_c (lin_c - G_c) / sum_c w_c, with G_c and w_c = d
+    theta_c / dG read at log theta_c on its node interval of the uniform u
+    grid, found by arithmetic and also each element's first interval guess.
+    Pixels leave the iteration once their Newton step is below 1e-13
+    relative. Each element's interval is carried from one iteration to the
+    next and searched again (_interval) only where its value has left it.
     """
     n_maps = kappa.size
-    u = np.linspace(max(np.log(theta.min()) - 1.0, _LOG_THETA_FLOOR), 0.0,
-                    _THETA_NODES)
+    g_flat = kappa @ psi(kappa / theta.shape[1])      # G(1/C)
+    # psi(x) >= -1/x - euler_gamma puts every root in the bracket above J / gap
+    gap = (lin.max(axis=1, keepdims=True) - lin).max() - g_flat - np.euler_gamma * kappa.sum()
+    low = min(np.log(theta.min()) - 1.0, np.log(n_maps / gap) if gap > 0 else 0.0)
+    u = np.linspace(max(low, _LOG_THETA_FLOOR), 0.0, _THETA_NODES)
     t = np.exp(u)
     kt = kappa[:, None] * t[None, :]
     g = kappa @ psi(kt)                               # G at the nodes
@@ -290,6 +299,9 @@ def _theta_kkt(theta, kappa, lin, lam0):
     b0, b1 = dg * m[:-1], dg * m[1:]
     c = 3.0 * np.diff(u) - 2.0 * b0 - b1
     d = b0 + b1 - 2.0 * np.diff(u)
+    # and of G(u): G = g_k + s*(a0 + s*(c_g + s*d_g)), s the node step's share
+    a0, a1 = np.diff(u) / m[:-1], np.diff(u) / m[1:]
+    c_g, d_g = 3.0 * dg - 2.0 * a0 - a1, a0 + a1 - 2.0 * dg
     pole = g[0] + n_maps / t[0]
 
     def inverse(y, k):
@@ -304,15 +316,17 @@ def _theta_kkt(theta, kappa, lin, lam0):
         dth[below] = th[below] ** 2 / n_maps
         return th, dth, k
 
-    g_flat = kappa @ psi(kappa / theta.shape[1])      # G(1/C)
-
     def solve(rows):
         """The multiplier Newton and theta for one block of pixels."""
         lin_b = lin[rows]
         top = lin_b.max(axis=1)
         lo, hi = top - g[-1], top - g_flat
-        lam = np.clip(lam0[rows], lo, hi)
-        k = np.zeros(lin_b.shape, dtype=np.intp)
+        x = np.clip((np.log(theta[rows]) - u[0]) / (u[1] - u[0]), 0.0, u.size - 1.0)
+        k = np.minimum(x.astype(np.intp), u.size - 2)   # theta's node interval
+        s = x - k
+        big_g = g[k] + s * (a0[k] + s * (c_g[k] + s * d_g[k]))
+        w = theta[rows] / (a0[k] + s * (2.0 * c_g[k] + 3.0 * s * d_g[k]))  # ~ dtheta/dG
+        lam = np.clip((w * (lin_b - big_g)).sum(axis=1) / w.sum(axis=1), lo, hi)
         act = np.arange(lin_b.shape[0])
         for _ in range(100):
             la = lam[act]
@@ -330,10 +344,9 @@ def _theta_kkt(theta, kappa, lin, lam0):
             if act.size == 0:
                 break
         th, *_ = inverse(lin_b - lam[:, None], k)
-        th /= th.sum(axis=1, keepdims=True)
-        return th, lam
+        return th / th.sum(axis=1, keepdims=True)
 
-    return tuple(map(np.concatenate, zip(*_in_blocks(solve, *theta.shape))))
+    return np.concatenate(_in_blocks(solve, *theta.shape))
 
 
 def _kappa_block(kappa, theta, stats, n_pix, margin):
@@ -394,7 +407,7 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     stack = np.empty((len(maps), len(idx), shape.n_classes))
     for m, rows in zip(maps, stack):     # only the subsampled pixels, plane by plane
         for c in range(shape.n_classes):
-            np.take(m.values[c].ravel(), idx, out=rows[:, c])
+            np.take(m.values[c].ravel(), idx, out=rows[:, c], mode="clip")
     n_maps, n_pix, _ = stack.shape
 
     logp = np.log(stack)                      # strictly positive by raster contract
@@ -405,17 +418,17 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
         return np.concatenate(_in_blocks(
             lambda rows: (theta * logp[rows]).sum(axis=(1, 2)), n_maps, theta.size))
 
-    lam, margin = np.full(n_pix, -np.inf), 2.0   # each sweep's warm starts
+    margin = 2.0                              # the H table's, at the first step
 
     def sweep(kappa, theta):
         """One outer sweep: the theta block, then the kappa block; returns the
         new point and its joint on the kappa step's table, and leaves the
-        multipliers and the kappa move's margin for the next sweep."""
-        nonlocal lam, margin
-        theta, lam = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp), lam)
+        kappa move as the next step's margin."""
+        nonlocal margin
+        theta = _theta_kkt(theta, kappa, np.einsum("j,jnc->nc", kappa, logp))
         stats = stats_at(theta)
         new, big_l = _kappa_block(kappa, theta, stats, n_pix, margin)
-        margin = max(4.0 * np.abs(np.log(new / kappa)).max(), 0.01)
+        margin = max(np.abs(np.log(new / kappa)).max(), 0.01)
         return new, theta, _table_joint(new, theta, stats, logp_total, n_pix, big_l)
 
     kappa = np.ones(n_maps)
@@ -429,19 +442,19 @@ def estimate_weights(maps, subsample: int = 10_000, seed: int = 0) -> WeightEsti
     cycle = [np.log(kappa)]                   # u0, u1, u2 of one SQUAREM step
     converged = False
     for it in range(1, 201):
-        kappa_prev = kappa
+        kappa_prev, floor = kappa, current - 1e-9 * max(1.0, abs(current))
         jump = None
         if len(cycle) == 3:
             jump, cycle = _squarem_point(*cycle), cycle[2:]
         cand = sweep(kappa if jump is None else np.exp(jump), theta)
         if jump is not None:
-            # the jump sweep is kept only if it ends no lower than the joint at u2
-            if not cand[2] >= current:
+            # the jump sweep is kept unless it ends below the ascent check's floor
+            if not cand[2] >= floor:
                 trace.append(current)           # the ascent goes on from u2
                 continue
             cycle = []                          # its end is the next u0
         kappa, theta, new_val = cand
-        if not new_val >= current - 1e-9 * max(1.0, abs(current)):
+        if not new_val >= floor:
             raise RuntimeError("log-posterior decreased during ascent: "
                                f"{current!r} -> {new_val!r} at iteration {it}")
         current = new_val

@@ -424,6 +424,20 @@ def test_scenario_id_naming_another_output_exits_2(work, capsys, tmp_path,
     assert not out.exists()
 
 
+def test_scenario_id_that_is_not_one_csv_cell_exits_2(work, capsys, tmp_path):
+    """simulate refuses an id that weights.csv could not hold, as discovery
+    does, before anything is written."""
+    doc = json.loads((work / "scenario.json").read_text())
+    target = tmp_path / "scenario.json"
+    target.write_text(json.dumps(_investigator(doc, id="a,b")))
+    out = tmp_path / "out"
+    rc = main(["simulate", str(target), "-o", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2, err
+    assert len(err) == 1 and "'a,b'" in err[0] and "comma" in err[0], err
+    assert not out.exists()
+
+
 def test_scenario_with_more_blobs_than_pixels_exits_2(work, capsys, tmp_path):
     """A 4x4 scene cannot plant 20 distinct blob seeds: the scenario is
     refused with one line naming n_blobs and the pixel count, before any
