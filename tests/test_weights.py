@@ -446,8 +446,8 @@ def test_kappa_newton_takes_at_most_8_iterations_per_step(monkeypatch, maps):
     """Each Newton iteration of the kappa step calls _trigamma once. A step
     below 1e-12 ends it, so no investigator is thrown across its bracket
     by a bisection after a sub-ulp step at its root and crawls back by
-    halving (36 and 41 iterations in one step on these panels when it
-    was)."""
+    halving (36 and 41 iterations in one step on these panels when such a
+    step bisected)."""
     steps, inside = [], []
     newton, trigamma = mapfuse.weights._kappa_newton, mapfuse.weights._trigamma
 
